@@ -3,7 +3,9 @@
 use crate::SpatialAggIndex;
 use gb_data::AggSpec;
 use gb_geom::Polygon;
-use geoblocks::{AggResult, GeoBlock, GeoBlockQC};
+use geoblocks::trace::Tracer;
+use geoblocks::{AggResult, GeoBlock, GeoBlockEngine};
+use std::sync::Arc;
 
 /// "Block": GeoBlocks without query caching.
 pub struct BlockIndex {
@@ -38,22 +40,29 @@ impl SpatialAggIndex for BlockIndex {
     }
 }
 
-/// "BlockQC": GeoBlocks with the AggregateTrie query cache.
+/// "BlockQC": GeoBlocks with the AggregateTrie query cache, answered by a
+/// [`GeoBlockEngine`].
+///
+/// The engine's covering memo is off, so every query computes its
+/// covering, as the paper's BlockQC does and as [`BlockIndex`] does; its
+/// tracer is off too, so the figures time the query path alone.
 pub struct BlockQcIndex {
-    qc: GeoBlockQC,
+    engine: GeoBlockEngine,
 }
 
 impl BlockQcIndex {
-    pub fn new(qc: GeoBlockQC) -> Self {
-        BlockQcIndex { qc }
+    /// Wrap `block` with a cache budget of `threshold` (a fraction of the
+    /// cell-aggregate storage, Figure 18's "aggregate threshold").
+    pub fn new(block: GeoBlock, threshold: f64) -> Self {
+        let engine = GeoBlockEngine::new(block, threshold)
+            .with_memo_capacity(0)
+            .with_tracer(Arc::new(Tracer::disabled()));
+        BlockQcIndex { engine }
     }
 
-    pub fn qc(&self) -> &GeoBlockQC {
-        &self.qc
-    }
-
-    pub fn qc_mut(&mut self) -> &mut GeoBlockQC {
-        &mut self.qc
+    /// The engine: rebuild the cache, read or reset its metrics.
+    pub fn engine(&self) -> &GeoBlockEngine {
+        &self.engine
     }
 }
 
@@ -63,14 +72,14 @@ impl SpatialAggIndex for BlockQcIndex {
     }
 
     fn select(&mut self, polygon: &Polygon, spec: &AggSpec) -> AggResult {
-        self.qc.select(polygon, spec).result
+        self.engine.select(polygon, spec).result
     }
 
     fn count(&mut self, polygon: &Polygon) -> u64 {
-        self.qc.count(polygon).result
+        self.engine.count(polygon).result
     }
 
     fn index_bytes(&self) -> usize {
-        self.qc.block().memory_bytes() + self.qc.trie().size_bytes()
+        self.engine.block_snapshot().memory_bytes() + self.engine.trie_snapshot().size_bytes()
     }
 }

@@ -16,7 +16,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use gb_cell::{CurveKind, Grid};
 use gb_data::{datasets, extract, polygons, AggSpec, Filter, Rows};
-use geoblocks::{build, GeoBlockQC};
+use geoblocks::{build, GeoBlockEngine};
 use std::hint::black_box;
 
 fn taxi_base(curve: CurveKind) -> gb_data::BaseTable {
@@ -134,7 +134,9 @@ fn ablate_cache(c: &mut Criterion) {
     // The "hot" 10% subset, as in the skewed workload.
     let hot: Vec<_> = polys.iter().take(5).cloned().collect();
 
-    let mut warm = GeoBlockQC::new(block.clone(), 0.1);
+    // Memo off: both sides compute every covering, so the pair isolates
+    // the trie.
+    let warm = GeoBlockEngine::new(block.clone(), 0.1).with_memo_capacity(0);
     for _ in 0..4 {
         for p in &hot {
             warm.select(p, &spec);

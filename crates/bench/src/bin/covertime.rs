@@ -1,7 +1,7 @@
 //! Diagnostic: covering vs aggregation vs cache cost on hot polygons.
 use gb_bench::Ctx;
 use gb_data::{polygons, AggSpec, Filter, Rows};
-use geoblocks::{build, GeoBlockQC};
+use geoblocks::{build, GeoBlockEngine};
 
 fn main() {
     let ctx = Ctx::default();
@@ -30,7 +30,8 @@ fn main() {
 
     // hot-polygon cache comparison
     let hot = &polys[0..6];
-    let mut qc = GeoBlockQC::new(block.clone(), 0.1);
+    // Memo off, like the plain block below: both compute every covering.
+    let qc = GeoBlockEngine::new(block.clone(), 0.1).with_memo_capacity(0);
     for _ in 0..4 {
         for p in hot {
             qc.select(p, &spec);

@@ -1,8 +1,8 @@
 //! A concurrent, shared-nothing-write read path over GeoBlocks.
 //!
-//! [`GeoBlockEngine`] is the `Send + Sync` counterpart of
-//! [`crate::GeoBlockQC`]: many threads answer SELECT/COUNT queries while
-//! the query cache adapts — and, since the typed-API redesign, while
+//! [`GeoBlockEngine`] is the one BlockQC front-end (§3.6, over the
+//! kernel in [`crate::qc`]), and it is `Send + Sync`: many threads
+//! answer SELECT/COUNT queries while the query cache adapts — and while
 //! update batches commit — underneath them. The paper's single-threaded
 //! mutable state is made concurrent with three mechanisms, each chosen so
 //! *readers never block on a rebuild or an update*:
@@ -119,7 +119,6 @@ pub struct GeoBlockEngine {
     query_counter: AtomicUsize,
     probes: Counter,
     direct_hits: Counter,
-    child_hits: Counter,
     /// Polygon → covering memo. Keyed by polygon *content* (and the
     /// fixed block level), so entries survive every data epoch and cache
     /// rebuild — a covering depends on neither.
@@ -149,8 +148,9 @@ impl GeoBlockEngine {
         EngineBuilder::new()
     }
 
-    /// Wrap `block` with a cache budget of `threshold` (same meaning as
-    /// [`crate::GeoBlockQC::new`]).
+    /// Wrap `block` with a cache budget of `threshold`, a fraction of the
+    /// cell-aggregate storage (Figure 18's "aggregate threshold"; e.g.
+    /// `0.05` is the paper's skew-experiment setting).
     pub fn new(block: GeoBlock, threshold: f64) -> Self {
         GeoBlockEngine::from_arc(Arc::new(block), threshold)
     }
@@ -176,7 +176,6 @@ impl GeoBlockEngine {
             query_counter: AtomicUsize::new(0),
             probes: Counter::new(),
             direct_hits: Counter::new(),
-            child_hits: Counter::new(),
             memo: CoveringMemo::new(DEFAULT_MEMO_CAPACITY),
             hot_queries: OrderedMutex::new(
                 "hot_queries",
@@ -260,7 +259,7 @@ impl GeoBlockEngine {
         CacheMetrics {
             probes: self.probes.get(),
             direct_hits: self.direct_hits.get(),
-            child_hits: self.child_hits.get(),
+            child_hits: 0,
             covering_memo_hits: memo.hits,
             covering_memo_misses: memo.misses,
         }
@@ -270,13 +269,7 @@ impl GeoBlockEngine {
     pub fn reset_metrics(&self) {
         self.probes.reset();
         self.direct_hits.reset();
-        self.child_hits.reset();
         self.memo.reset_stats();
-    }
-
-    /// Number of coverings currently memoized.
-    pub fn memo_len(&self) -> usize {
-        self.memo.len()
     }
 
     /// Full covering-memo counter snapshot (hits, misses, evictions,
@@ -423,7 +416,6 @@ impl GeoBlockEngine {
         self.tracer.absorb(acc);
         self.probes.add(metrics.probes);
         self.direct_hits.add(metrics.direct_hits);
-        self.child_hits.add(metrics.child_hits);
         QueryResponse::new(result, stats, state.data_epoch)
     }
 
@@ -644,7 +636,7 @@ impl GeoBlockEngine {
 
     /// Build an engine from an already-loaded [`Snapshot`] (the in-memory
     /// half of [`GeoBlockEngine::from_snapshot`]).
-    pub fn from_snapshot_state(snap: Snapshot, threshold: f64) -> Self {
+    fn from_snapshot_state(snap: Snapshot, threshold: f64) -> Self {
         let engine = GeoBlockEngine::from_arc(Arc::new(snap.block), threshold);
         if let Some(trie) = snap.trie {
             engine.state.publish(|cur| {
@@ -761,9 +753,7 @@ impl std::fmt::Debug for GeoBlockEngine {
 enum EngineSource {
     None,
     Block(Box<GeoBlock>),
-    SharedBlock(Arc<GeoBlock>),
     SnapshotFile(PathBuf),
-    SnapshotState(Box<Snapshot>),
 }
 
 /// Fluent construction of a [`GeoBlockEngine`]: one source (block,
@@ -822,21 +812,9 @@ impl EngineBuilder {
         self
     }
 
-    /// Source: wrap an already-shared block.
-    pub fn block_arc(mut self, block: Arc<GeoBlock>) -> Self {
-        self.source = EngineSource::SharedBlock(block);
-        self
-    }
-
     /// Source: restore (pre-warmed) from a snapshot file.
     pub fn snapshot(mut self, path: impl Into<PathBuf>) -> Self {
         self.source = EngineSource::SnapshotFile(path.into());
-        self
-    }
-
-    /// Source: an already-loaded snapshot (the in-memory variant).
-    pub fn snapshot_state(mut self, snap: Snapshot) -> Self {
-        self.source = EngineSource::SnapshotState(Box::new(snap));
         self
     }
 
@@ -857,23 +835,19 @@ impl EngineBuilder {
                 self.threshold
             )));
         }
-        let engine =
-            match self.source {
-                EngineSource::None => return Err(GbError::bad_request(
-                    "engine builder needs a source: block(), block_arc(), snapshot(), or base()"
-                        .to_string(),
-                )),
-                EngineSource::Block(block) => {
-                    GeoBlockEngine::from_arc(Arc::new(*block), self.threshold)
-                }
-                EngineSource::SharedBlock(block) => GeoBlockEngine::from_arc(block, self.threshold),
-                EngineSource::SnapshotFile(path) => {
-                    GeoBlockEngine::from_snapshot_state(Snapshot::load(&path)?, self.threshold)
-                }
-                EngineSource::SnapshotState(snap) => {
-                    GeoBlockEngine::from_snapshot_state(*snap, self.threshold)
-                }
-            };
+        let engine = match self.source {
+            EngineSource::None => {
+                return Err(GbError::bad_request(
+                    "engine builder needs a source: block(), snapshot(), or base()".to_string(),
+                ))
+            }
+            EngineSource::Block(block) => {
+                GeoBlockEngine::from_arc(Arc::new(*block), self.threshold)
+            }
+            EngineSource::SnapshotFile(path) => {
+                GeoBlockEngine::from_snapshot_state(Snapshot::load(&path)?, self.threshold)
+            }
+        };
         Ok(engine.with_policy(self.policy))
     }
 }
@@ -882,7 +856,6 @@ impl EngineBuilder {
 mod tests {
     use super::*;
     use crate::build::build;
-    use crate::GeoBlockQC;
     use gb_cell::Grid;
     use gb_data::{extract, CleaningRules, ColumnDef, Filter, RawTable, Schema};
     use gb_geom::{Point, Rect};
@@ -950,24 +923,70 @@ mod tests {
     }
 
     #[test]
-    fn engine_rebuild_matches_qc_rebuild() {
-        // Same queries → same statistics → bit-identical caches.
+    fn zero_threshold_caches_nothing() {
+        let base = base_data(1000);
+        let (block, _) = build(&base, 8, &Filter::all());
+        let engine = GeoBlockEngine::new(block, 0.0);
+        for _ in 0..3 {
+            engine.select(&diamond(50.0, 50.0, 20.0), &spec());
+        }
+        engine.rebuild_cache();
+        assert_eq!(engine.trie_snapshot().num_cached(), 0);
+        assert_eq!(engine.metrics().direct_hits, 0);
+    }
+
+    #[test]
+    fn repeated_region_gets_cached_and_hit() {
         let base = base_data(3000);
         let (block, _) = build(&base, 8, &Filter::all());
-        let mut qc = GeoBlockQC::new(block.clone(), 0.3);
-        let engine = GeoBlockEngine::new(block, 0.3);
-        let s = spec();
-        for i in 0..10 {
-            let p = diamond(25.0 + 5.0 * i as f64, 40.0, 9.0);
-            qc.select(&p, &s);
-            engine.select(&p, &s);
+        let engine = GeoBlockEngine::new(block, 0.5);
+        let hot = diamond(50.0, 50.0, 12.0);
+        for _ in 0..5 {
+            engine.select(&hot, &spec());
         }
-        qc.rebuild_cache();
         engine.rebuild_cache();
-        let et = engine.trie_snapshot();
-        assert_eq!(et.num_cached(), qc.trie().num_cached());
-        assert_eq!(et.num_nodes(), qc.trie().num_nodes());
-        assert_eq!(et.size_bytes(), qc.trie().size_bytes());
+        engine.reset_metrics();
+        engine.select(&hot, &spec());
+        let m = engine.metrics();
+        assert!(m.direct_hits > 0, "hot region should hit the cache: {m:?}");
+        assert!(m.hit_rate() > 0.0);
+    }
+
+    #[test]
+    fn count_ignores_cache() {
+        let base = base_data(2000);
+        let (block, _) = build(&base, 8, &Filter::all());
+        let engine = GeoBlockEngine::new(block.clone(), 0.3);
+        let hot = diamond(40.0, 40.0, 15.0);
+        for _ in 0..5 {
+            engine.select(&hot, &spec());
+        }
+        engine.rebuild_cache();
+        engine.reset_metrics();
+        let a = engine.count(&hot);
+        let (b, _) = block.count(&hot);
+        assert_eq!(a.result, b);
+        assert_eq!(a.epoch, 0, "no updates yet");
+        assert_eq!(engine.metrics().probes, 0, "COUNT never probes the trie");
+    }
+
+    #[test]
+    fn scoring_prefers_hits_then_coarser_cells() {
+        let base = base_data(2000);
+        let (block, _) = build(&base, 8, &Filter::all());
+        let engine = GeoBlockEngine::new(block, 1.0);
+        // Query one region often, another once.
+        let hot = diamond(30.0, 30.0, 10.0);
+        let cold = diamond(70.0, 70.0, 10.0);
+        for _ in 0..6 {
+            engine.select(&hot, &spec());
+        }
+        engine.select(&cold, &spec());
+        engine.rebuild_cache();
+        engine.reset_metrics();
+        engine.select(&hot, &spec());
+        let hot_rate = engine.metrics().hit_rate();
+        assert!(hot_rate > 0.5, "hot region rate {hot_rate}");
     }
 
     #[test]
@@ -1028,9 +1047,9 @@ mod tests {
             Some(9_999_999.0),
             "cached max must refresh through the swapped trie"
         );
-        // And the engine agrees with a from-scratch QC given the same data.
-        let mut qc = GeoBlockQC::new((*engine.block_snapshot()).clone(), 0.5);
-        let fresh = qc.select(&hot, &s);
+        // And the engine agrees with a cold engine given the same data.
+        let fresh = GeoBlockEngine::new((*engine.block_snapshot()).clone(), 0.5);
+        let fresh = fresh.select(&hot, &s);
         assert!(after.result.approx_eq(&fresh.result, 0.0), "bit-identical");
     }
 

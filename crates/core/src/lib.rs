@@ -12,7 +12,7 @@
 //!
 //! ```
 //! use gb_data::{datasets, extract, AggSpec, Filter, Rows};
-//! use geoblocks::{build, GeoBlockQC};
+//! use geoblocks::{build, GeoBlockEngine};
 //!
 //! // Synthetic NYC-taxi-like data → extract (clean + sort) → build.
 //! let ds = datasets::nyc_taxi(10_000, 42);
@@ -28,8 +28,8 @@
 //! // Query-cache accelerated variant (BlockQC). Typed responses carry
 //! // the result, the per-query stats, and the data epoch they're valid
 //! // for (see the [`api`] module).
-//! let mut qc = GeoBlockQC::new(block, 0.05);
-//! let cached = qc.select(&polys[0], &spec);
+//! let engine = GeoBlockEngine::new(block, 0.05);
+//! let cached = engine.select(&polys[0], &spec);
 //! assert_eq!(cached.result.count, result.count);
 //! assert_eq!(cached.epoch, 0);
 //! ```
@@ -44,8 +44,8 @@
 //! | [`build`](mod@build) — single- or multi-threaded builds from sorted base data | §3.3 |
 //! | [`query`] — SELECT (Listing 1) and COUNT (Listing 2) | §3.5 |
 //! | [`trie`] — the AggregateTrie cache | §3.6, Fig. 7 |
-//! | [`qc`] — BlockQC: adapted query + scoring/rebuild | §3.6, Fig. 8 |
-//! | [`engine`] — `Send + Sync` concurrent read path (sharded stats, epoch-swapped cache) | — |
+//! | [`qc`] — the BlockQC kernel: adapted query + scoring/rebuild | §3.6, Fig. 8 |
+//! | [`engine`] — BlockQC front-end: `Send + Sync` read path (sharded stats, epoch-swapped cache) | §3.6 |
 //! | [`snapshot`] — versioned persistence of blocks + learned cache state | — |
 //! | [`update`] — batch updates | §5 |
 //! | [`indexed`] — B-tree-indexed aggregate storage (rebuild-free updates) | §5 |
@@ -75,7 +75,7 @@ pub use indexed::IndexedBlock;
 pub use kernel::PublishKernel;
 pub use memo::{CoveringMemo, HotQueryTable, MemoStats};
 pub use pyramid::AggPyramid;
-pub use qc::{CacheMetrics, GeoBlockQC, RebuildPolicy};
+pub use qc::{CacheMetrics, RebuildPolicy};
 pub use query::QueryStats;
 pub use snapshot::{Snapshot, SnapshotError, SnapshotRef, SNAPSHOT_VERSION};
 pub use trie::AggregateTrie;

@@ -313,10 +313,9 @@ impl AggregateTrie {
     }
 
     /// A stateful probe for sorted probe streams — the covering loop's
-    /// lookup path ([`crate::GeoBlockQC::select`] and the engine probe
-    /// covering cells in ascending raw order, so consecutive lookups
-    /// resolve from one forward cache-line scan instead of a full
-    /// search).
+    /// lookup path (the engine's SELECT probes covering cells in
+    /// ascending raw order, so consecutive lookups resolve from one
+    /// forward cache-line scan instead of a full search).
     pub fn flat_cursor(&self) -> FlatCursor<'_> {
         FlatCursor {
             trie: self,
@@ -409,12 +408,6 @@ impl AggregateTrie {
             maxs: &self.agg_values[base + c..base + 2 * c],
             sums: &self.agg_values[base + 2 * c..base + 3 * c],
         }
-    }
-
-    /// The four children of a node, if a child block was allocated.
-    pub fn children_of(&self, node: u32) -> Option<[u32; 4]> {
-        let first = self.nodes[node as usize].first_child;
-        (first != NO_CHILD).then(|| [first, first + 1, first + 2, first + 3])
     }
 
     /// How many bytes inserting `cell` would add (missing child blocks plus
@@ -653,7 +646,6 @@ mod tests {
         assert_eq!(t.size_bytes(), 8);
         assert!(t.node_for(root()).is_some());
         assert!(t.agg_of(t.node_for(root()).unwrap()).is_none());
-        assert!(t.children_of(0).is_none());
     }
 
     #[test]

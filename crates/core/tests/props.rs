@@ -8,7 +8,7 @@ use gb_data::{
     extract, AggFunc, AggRequest, AggSpec, CleaningRules, ColumnDef, Filter, RawTable, Rows, Schema,
 };
 use gb_geom::{convex_hull, Point, Polygon, Rect};
-use geoblocks::{build, AggResult, GeoBlockQC};
+use geoblocks::{build, AggResult, GeoBlockEngine};
 use proptest::prelude::*;
 
 const DOMAIN: f64 = 100.0;
@@ -102,15 +102,15 @@ proptest! {
         let s = spec();
         let (want, _) = block.select(&poly, &s);
 
-        let mut qc = GeoBlockQC::new(block, threshold);
+        let engine = GeoBlockEngine::new(block, threshold);
         for _ in 0..repeats {
-            let got = qc.select(&poly, &s).result;
+            let got = engine.select(&poly, &s).result;
             prop_assert!(got.approx_eq(&want, 1e-9));
-            qc.rebuild_cache();
+            engine.rebuild_cache();
         }
-        let after = qc.select(&poly, &s).result;
+        let after = engine.select(&poly, &s).result;
         prop_assert!(after.approx_eq(&want, 1e-9));
-        prop_assert!(qc.trie().size_bytes() <= qc.budget_bytes().max(8));
+        prop_assert!(engine.trie_snapshot().size_bytes() <= engine.budget_bytes().max(8));
     }
 
     #[test]

@@ -7,10 +7,11 @@
 
 use gb_cell::{CellId, Grid};
 use gb_data::{
-    extract, AggFunc, AggRequest, AggSpec, CleaningRules, ColumnDef, Filter, RawTable, Rows, Schema,
+    datasets, extract, polygons, AggFunc, AggRequest, AggSpec, CleaningRules, ColumnDef, Filter,
+    RawTable, Rows, Schema,
 };
 use gb_geom::{convex_hull, Point, Polygon, Rect};
-use geoblocks::{build, build_parallel, GeoBlock, UpdateBatch};
+use geoblocks::{build, build_parallel, GeoBlock, GeoBlockEngine, UpdateBatch};
 use proptest::prelude::*;
 
 const DOMAIN: f64 = 100.0;
@@ -214,8 +215,8 @@ fn coarse_interior_covering_is_answered_one_record_per_cell() {
     assert!(fast_stats.searches <= scan_stats.searches + fast_stats.query_cells);
 }
 
-/// The engine/QC layers sit on the same tiered path: a QC with a cold and
-/// a warm cache answers bit-identically to the plain pyramid block.
+/// The engine sits on the same tiered path: with a cold and a warm cache
+/// it answers bit-identically to the plain pyramid block.
 #[test]
 fn qc_layers_agree_with_pyramid_block_exactly() {
     let points: Vec<(f64, f64)> = (0..3000)
@@ -240,17 +241,17 @@ fn qc_layers_agree_with_pyramid_block_exactly() {
             ])
         })
         .collect();
-    let mut qc = geoblocks::GeoBlockQC::new(block.clone(), 0.3);
+    let engine = GeoBlockEngine::new(block.clone(), 0.3);
     for p in &polys {
-        let a = qc.select(p, &s).result;
+        let a = engine.select(p, &s).result;
         let (b, _) = block.select(p, &s);
-        assert!(a.approx_eq(&b, 0.0), "cold QC: {a:?} vs {b:?}");
+        assert!(a.approx_eq(&b, 0.0), "cold engine: {a:?} vs {b:?}");
     }
-    qc.rebuild_cache();
+    engine.rebuild_cache();
     for p in &polys {
-        let a = qc.select(p, &s).result;
+        let a = engine.select(p, &s).result;
         let (b, _) = block.select(p, &s);
-        assert!(a.approx_eq(&b, 0.0), "warm QC: {a:?} vs {b:?}");
+        assert!(a.approx_eq(&b, 0.0), "warm engine: {a:?} vs {b:?}");
     }
 }
 
@@ -295,4 +296,41 @@ fn prefix_count_matches_ground_truth_after_mixed_batches() {
     assert_eq!(cnt, want);
     // O(1) per covering cell: two prefix probes, never a record sweep.
     assert_eq!(stats.cells_combined, 2 * stats.query_cells);
+}
+
+/// Explore-style traffic on a warm engine: learn a trie from one set of
+/// polygons, rebuild, then query shifted copies that the cache has never
+/// seen. Many of their covering cells land on trie nodes whose own
+/// aggregate is not cached while some children's are; those cells must
+/// still answer bit-identically to the range-scan reference.
+#[test]
+fn warm_engine_on_shifted_polygons_is_bit_identical_to_scan() {
+    let ds = datasets::nyc_taxi(20_000, 3);
+    let base = extract(&ds.raw, ds.grid, &datasets::nyc_cleaning_rules(), None).base;
+    let (block, _) = build(&base, 10, &Filter::all());
+    let s = AggSpec::k_aggregates(base.schema(), 7);
+    let hoods = polygons::neighborhoods(24, 3);
+    let engine = GeoBlockEngine::new(block.clone(), 0.05);
+    for p in &hoods {
+        engine.select(p, &s);
+    }
+    engine.rebuild_cache();
+    for (i, p) in hoods.iter().enumerate() {
+        for k in 1..=4 {
+            let d = 0.0037 * k as f64;
+            let shifted = Polygon::new(
+                p.exterior()
+                    .iter()
+                    .map(|v| Point::new(v.x + d, v.y - d))
+                    .collect(),
+            );
+            let got = engine.select(&shifted, &s).result;
+            let (want, _) = block.select_scan(&shifted, &s);
+            assert!(
+                got.approx_eq(&want, 0.0),
+                "hood {i} shift {k}: {got:?} vs {want:?}"
+            );
+        }
+    }
+    assert!(engine.metrics().direct_hits > 0, "the trie was never used");
 }

@@ -14,7 +14,7 @@
 use gb_common::Timer;
 use gb_data::{datasets, extract, polygons, AggSpec, Filter, Rows};
 use gb_geom::{Point, Polygon};
-use geoblocks::{build, GeoBlock, GeoBlockQC, UpdateBatch};
+use geoblocks::{build, GeoBlock, GeoBlockEngine, UpdateBatch};
 
 /// The analyst's focus area queries: a few hot polygons queried over and
 /// over with changing aggregate sets, plus occasional one-off lookups.
@@ -74,8 +74,10 @@ fn main() {
         plain_totals.push((t.elapsed_ms(), checksum));
     }
 
-    // BlockQC: statistics accumulate, the cache warms after burst 1.
-    let mut qc = GeoBlockQC::new(block, 0.05);
+    // BlockQC (the engine): statistics accumulate, the cache warms after
+    // burst 1, and the covering memo lets repeated polygons skip the
+    // covering.
+    let qc = GeoBlockEngine::new(block, 0.05);
     let mut qc_totals = Vec::new();
     for burst in 0..5 {
         let t = Timer::start();
@@ -99,8 +101,8 @@ fn main() {
     }
     println!(
         "\ncache: {} aggregates cached, {}",
-        qc.trie().num_cached(),
-        gb_common::fmt::bytes(qc.trie().size_bytes()),
+        qc.trie_snapshot().num_cached(),
+        gb_common::fmt::bytes(qc.trie_snapshot().size_bytes()),
     );
 
     // Live updates: a batch of fresh rides lands in Manhattan (§5).
@@ -112,7 +114,10 @@ fn main() {
         batch.push(Point::new(x, y), vec![10.0; schema_len]);
     }
     let before = qc.count(&session.hot[0]).result;
-    let report = qc.apply_updates(&batch);
+    let report = qc
+        .apply_updates(&batch)
+        .expect("every row has one value per column")
+        .result;
     let after = qc.count(&session.hot[0]).result;
     println!(
         "\nupdates: {} in place, {} new cells; hot-area count {before} → {after}",

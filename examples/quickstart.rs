@@ -6,7 +6,7 @@
 //! ```
 
 use gb_data::{datasets, extract, polygons, AggFunc, AggRequest, AggSpec, Filter, Rows};
-use geoblocks::{build, GeoBlockQC};
+use geoblocks::{build, GeoBlockEngine};
 
 fn main() {
     // 1. Generate a synthetic NYC-taxi-like dataset (deterministic seed)
@@ -73,7 +73,7 @@ fn main() {
     );
 
     // 5. The query cache accelerates repeated regions.
-    let mut qc = GeoBlockQC::new(block, 0.05);
+    let qc = GeoBlockEngine::new(block, 0.05);
     for _ in 0..3 {
         qc.select(neighborhood, &spec);
     }
