@@ -120,16 +120,16 @@ fn bench_trie_lookup(c: &mut Criterion) {
     let cells: Vec<gb_cell::CellId> = coverings.iter().flat_map(|c| c.iter()).collect();
 
     // `trie_lookup` keeps the baseline semantics (the per-level pointer
-    // walk); `trie_lookup_flat` is the published read path (the flat
-    // index's sorted-stream cursor, exactly what `select_adapted` uses
+    // walk); `trie_lookup_flat` is the published read path (the hot
+    // lane's sorted-stream cursor, exactly what `select_adapted` uses
     // over a covering). Same probes, same trie.
     let trie = engine.trie_snapshot();
-    assert!(trie.has_flat_index(), "rebuild must publish the flat index");
+    assert!(trie.has_flat_index(), "rebuild must publish the hot lane");
     c.bench_function("trie_lookup", |b| {
         b.iter(|| {
             let mut hits = 0usize;
             for &cell in &cells {
-                if let Some(node) = trie.node_for_walk(black_box(cell)) {
+                if let Some(node) = trie.node_for(black_box(cell)) {
                     if trie.agg_of(node).is_some() {
                         hits += 1;
                     }
@@ -143,7 +143,7 @@ fn bench_trie_lookup(c: &mut Criterion) {
             let mut hits = 0usize;
             let mut probe = trie.flat_cursor();
             for &cell in &cells {
-                if let geoblocks::trie::FlatHit::Agg(_) = probe.lookup(black_box(cell)) {
+                if probe.lookup(black_box(cell)).is_some() {
                     hits += 1;
                 }
             }

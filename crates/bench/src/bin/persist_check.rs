@@ -174,8 +174,9 @@ fn main() {
         Ok(old) => {
             gate.check(
                 "pre-PYRA snapshot loads with rebuilt pyramid",
-                old.block.has_pyramid() && old.block.content_hash() == block.content_hash(),
-                "pyramid missing or content drifted after rebuild-on-load",
+                old.block.content_hash() == block.content_hash()
+                    && old.block.pyramid().content_hash() == block.pyramid().content_hash(),
+                "content or pyramid drifted after rebuild-on-load",
             );
             let mut identical = true;
             for p in polys.iter().take(8) {

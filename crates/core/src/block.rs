@@ -64,14 +64,20 @@ pub struct GeoBlock {
     /// prefix_counts[a]` — Listing 2's offset trick, kept valid across
     /// updates (unlike `offsets`, which are pinned to the base data).
     pub(crate) prefix_counts: Vec<u64>,
-    /// Exclusive per-column prefix over `sums`, flattened `(n + 1) ×
-    /// column`: O(1) SUM/AVG range folds for sums-only specs.
-    pub(crate) prefix_sums: Vec<f64>,
-    /// Aggregates at every level coarser than the block level. `None`
-    /// only for blocks that explicitly dropped it
-    /// ([`GeoBlock::clear_pyramid`]); queries then fall back to prefix
-    /// folds and range scans.
-    pub(crate) pyramid: Option<AggPyramid>,
+    /// Aggregates at every level coarser than the block level: the
+    /// canonical fold every coarse covering cell and every cached trie
+    /// record is read from.
+    pub(crate) pyramid: AggPyramid,
+}
+
+/// One cell's canonical aggregate record, borrowed from a block's own
+/// records or from its pyramid ([`GeoBlock::cell_record`]).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct CellRecord<'a> {
+    pub(crate) count: u64,
+    pub(crate) mins: &'a [f64],
+    pub(crate) maxs: &'a [f64],
+    pub(crate) sums: &'a [f64],
 }
 
 impl GeoBlock {
@@ -184,85 +190,84 @@ impl GeoBlock {
         self.num_cells() * self.record_bytes() + 3 * 8 * self.n_cols() + 32
     }
 
-    /// Heap bytes of the derived acceleration structures: the per-column
-    /// prefix arrays plus the aggregate pyramid (if kept).
+    /// Heap bytes of the derived acceleration structures: the count
+    /// prefix plus the aggregate pyramid.
     pub fn derived_bytes(&self) -> usize {
-        self.prefix_counts.len() * 8
-            + self.prefix_sums.len() * 8
-            + self.pyramid.as_ref().map_or(0, AggPyramid::memory_bytes)
+        self.prefix_counts.len() * 8 + self.pyramid.memory_bytes()
     }
 
-    /// Total heap bytes — cell aggregates, header, prefix arrays, and
+    /// Total heap bytes — cell aggregates, header, count prefix, and
     /// pyramid (the honest Figure-11b numerator for this implementation).
     pub fn memory_bytes(&self) -> usize {
         self.aggregate_bytes() + self.derived_bytes()
     }
 
-    /// The aggregate pyramid, if this block keeps one.
+    /// The aggregate pyramid.
     #[inline]
-    pub fn pyramid(&self) -> Option<&AggPyramid> {
-        self.pyramid.as_ref()
+    pub fn pyramid(&self) -> &AggPyramid {
+        &self.pyramid
     }
 
-    /// True when coarse covering cells are answered by pyramid lookups.
-    #[inline]
-    pub fn has_pyramid(&self) -> bool {
-        self.pyramid.is_some()
-    }
-
-    /// Drop the pyramid (ablation / memory-constrained deployments).
-    /// Queries stay correct via the prefix-fold and range-scan tiers;
-    /// [`GeoBlock::rebuild_pyramid`] restores it.
-    pub fn clear_pyramid(&mut self) {
-        self.pyramid = None;
+    /// The canonical record of `cell`: its pyramid layer record when it
+    /// is coarser than the block level, the block's own record at the
+    /// block level, and `None` for an empty cell (or one finer than the
+    /// block level). Every cached trie record is a copy of this.
+    pub(crate) fn cell_record(&self, cell: CellId) -> Option<CellRecord<'_>> {
+        let c = self.n_cols();
+        let (i, count, mins, maxs, sums) = if cell.level() < self.level {
+            let layer = self.pyramid.layer(cell.level())?;
+            let i = layer.keys.binary_search(&cell.raw()).ok()?;
+            (i, layer.counts[i], &layer.mins, &layer.maxs, &layer.sums)
+        } else if cell.level() == self.level {
+            let i = self.keys.binary_search(&cell.raw()).ok()?;
+            let count = u64::from(self.counts[i]);
+            (i, count, &self.mins, &self.maxs, &self.sums)
+        } else {
+            return None;
+        };
+        let at = i * c..(i + 1) * c;
+        Some(CellRecord {
+            count,
+            mins: &mins[at.clone()],
+            maxs: &maxs[at.clone()],
+            sums: &sums[at],
+        })
     }
 
     /// (Re)build the pyramid from the current cell aggregates with the
     /// canonical serial fold.
-    pub fn rebuild_pyramid(&mut self) {
-        self.pyramid = None; // release before building the replacement
-        self.pyramid = Some(AggPyramid::build(self, None));
+    pub(crate) fn rebuild_pyramid(&mut self) {
+        self.pyramid = AggPyramid::default(); // release before building the replacement
+        self.pyramid = AggPyramid::build(self, None);
     }
 
     /// [`GeoBlock::rebuild_pyramid`], layers fanned over `pool` —
     /// bit-identical to the serial build (layers are independent folds).
     pub(crate) fn rebuild_pyramid_with(&mut self, pool: &gb_common::Pool) {
-        self.pyramid = None;
-        self.pyramid = Some(AggPyramid::build(self, Some(pool)));
+        self.pyramid = AggPyramid::default();
+        self.pyramid = AggPyramid::build(self, Some(pool));
     }
 
-    /// Rebuild the prefix arrays from the current `counts`/`sums`.
+    /// Rebuild the count prefix from the current `counts`.
     pub(crate) fn rebuild_prefix(&mut self) {
-        let n = self.keys.len();
-        let c = self.n_cols();
         self.prefix_counts.clear();
-        self.prefix_counts.reserve(n + 1);
+        self.prefix_counts.reserve(self.keys.len() + 1);
         self.prefix_counts.push(0);
         let mut run = 0u64;
         for &cnt in &self.counts {
             run += u64::from(cnt);
             self.prefix_counts.push(run);
         }
-        self.prefix_sums.clear();
-        self.prefix_sums.resize((n + 1) * c, 0.0);
-        for i in 0..n {
-            for col in 0..c {
-                self.prefix_sums[(i + 1) * c + col] =
-                    self.prefix_sums[i * c + col] + self.sums[i * c + col];
-            }
-        }
     }
 
-    /// Rebuild every derived structure (prefix arrays, and the pyramid if
-    /// this block keeps one) from the current cell aggregates. Updates
-    /// call this instead of patching derived state in place: in-place
-    /// propagation of sums would drift from the canonical fold by ULPs
-    /// and break the pyramid-vs-scan bit-identity invariant.
+    /// Rebuild every derived structure (count prefix and pyramid) from
+    /// the current cell aggregates. Updates call this instead of patching
+    /// derived state in place: in-place propagation of sums would drift
+    /// from the canonical fold by ULPs and break the pyramid-vs-scan
+    /// bit-identity invariant.
     pub(crate) fn refresh_derived(&mut self) {
         self.rebuild_prefix();
-        if self.pyramid.is_some() {
-            self.rebuild_pyramid();
-        }
+        self.rebuild_pyramid();
     }
 
     /// A digest over every stored array (floats by bit pattern, so NaN
@@ -340,8 +345,7 @@ impl GeoBlock {
             global_sums: self.global_sums.clone(),
             dirty_offsets: self.dirty_offsets,
             prefix_counts: Vec::new(),
-            prefix_sums: Vec::new(),
-            pyramid: None,
+            pyramid: AggPyramid::default(),
         };
 
         // Base-data linkage per coarse group: first offset, leaf-key span.
@@ -365,10 +369,7 @@ impl GeoBlock {
             out.keys.windows(2).all(|w| w[0] < w[1]),
             "coarse keys unique+sorted"
         );
-        out.rebuild_prefix();
-        if self.pyramid.is_some() {
-            out.rebuild_pyramid();
-        }
+        out.refresh_derived();
         out
     }
 
@@ -377,6 +378,14 @@ impl GeoBlock {
     /// passes the container checksums must still describe a structurally
     /// possible block before any query code touches it.
     pub fn validate(&self) -> Result<(), String> {
+        self.validate_records()?;
+        self.pyramid.validate(self)
+    }
+
+    /// [`GeoBlock::validate`] minus the pyramid: the records, header and
+    /// count prefix. The snapshot loader runs this before it attaches a
+    /// decoded pyramid or builds one.
+    pub(crate) fn validate_records(&self) -> Result<(), String> {
         let c = self.n_cols();
         let n = self.keys.len();
         if self.offsets.len() != n || self.counts.len() != n {
@@ -445,28 +454,16 @@ impl GeoBlock {
         }
         // Derived structures must match their defining folds exactly
         // (they are deterministic functions of the arrays above).
-        if self.prefix_counts.len() != n + 1 || self.prefix_sums.len() != (n + 1) * c {
-            return Err("prefix arrays do not match the cell count".into());
+        if self.prefix_counts.len() != n + 1 {
+            return Err("count prefix does not match the cell count".into());
         }
         if self.prefix_counts[0] != 0 {
             return Err("prefix counts must start at 0".into());
-        }
-        if self.prefix_sums[..c].iter().any(|&x| x.to_bits() != 0) {
-            return Err("prefix sums must start at +0.0".into());
         }
         for i in 0..n {
             if self.prefix_counts[i + 1] != self.prefix_counts[i] + u64::from(self.counts[i]) {
                 return Err(format!("count prefix broken at index {i}"));
             }
-            for col in 0..c {
-                let expect = self.prefix_sums[i * c + col] + self.sums[i * c + col];
-                if self.prefix_sums[(i + 1) * c + col].to_bits() != expect.to_bits() {
-                    return Err(format!("sum prefix broken at index {i}, column {col}"));
-                }
-            }
-        }
-        if let Some(pyramid) = &self.pyramid {
-            pyramid.validate(self)?;
         }
         Ok(())
     }

@@ -18,6 +18,7 @@
 //! paths, which keeps even its floating-point sums byte-for-byte stable.
 
 use crate::block::GeoBlock;
+use crate::pyramid::AggPyramid;
 use gb_cell::MAX_LEVEL;
 use gb_common::Pool;
 use gb_data::{BaseTable, Filter, Rows, Schema};
@@ -149,8 +150,7 @@ fn assemble(grid: gb_cell::Grid, level: u8, schema: Schema, partials: Vec<Partia
         global_sums: vec![0.0; c],
         dirty_offsets: false,
         prefix_counts: Vec::new(),
-        prefix_sums: Vec::new(),
-        pyramid: None,
+        pyramid: AggPyramid::default(),
     };
 
     let mut row_base = 0u64;
@@ -207,8 +207,7 @@ pub fn build(base: &BaseTable, level: u8, filter: &Filter) -> (GeoBlock, BuildSt
     let partial = sweep_range(base, level, filter, 0..n);
     let rows_kept = partial.rows_kept as usize;
     let mut block = assemble(*base.grid(), level, base.schema().clone(), vec![partial]);
-    block.rebuild_prefix();
-    block.rebuild_pyramid();
+    block.refresh_derived();
     let stats = BuildStats {
         build_time: timer.elapsed(),
         rows_scanned: n,
@@ -336,9 +335,8 @@ mod tests {
         assert_eq!(bits(&a.global_mins), bits(&b.global_mins));
         assert_eq!(bits(&a.global_maxs), bits(&b.global_maxs));
         assert_eq!(bits(&a.global_sums), bits(&b.global_sums));
-        // Derived structures too: prefix arrays and every pyramid layer.
+        // Derived structures too: count prefix and every pyramid layer.
         assert_eq!(a.prefix_counts, b.prefix_counts);
-        assert_eq!(bits(&a.prefix_sums), bits(&b.prefix_sums));
         assert_eq!(a.pyramid, b.pyramid, "pyramids diverged");
     }
 

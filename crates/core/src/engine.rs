@@ -560,8 +560,10 @@ impl GeoBlockEngine {
     /// Commit a batch of new tuples (§5) and advance the data epoch.
     ///
     /// The next state is built entirely offline — clone the block, apply
-    /// the batch, refresh every cached trie ancestor with the §5
-    /// root-to-leaf walk — and swapped in with a single pointer write.
+    /// the batch, re-copy every cached trie record from the updated
+    /// block's canonical fold — and swapped in with a single pointer
+    /// write. Re-copying rather than adding the new tuples to cached sums
+    /// keeps every cache hit bit-identical to the pyramid path.
     /// In-flight queries keep answering from their pinned epoch; queries
     /// starting after the swap see the whole batch. The swap also makes
     /// invalidation transactional for result caches keyed on the epoch:
@@ -586,10 +588,7 @@ impl GeoBlockEngine {
             let mut block = (*cur.block).clone();
             let report = block.apply_updates(batch);
             let mut trie = (*cur.trie).clone();
-            for (loc, values) in &batch.rows {
-                let leaf = block.grid().leaf_for_point(*loc);
-                trie.update_along_path(leaf, values);
-            }
+            trie.refresh_records(|cell| block.cell_record(cell));
             let epoch = cur.data_epoch + 1;
             (
                 EngineState {
@@ -740,7 +739,6 @@ impl std::fmt::Debug for GeoBlockEngine {
         let state = self.state_snapshot();
         f.debug_struct("GeoBlockEngine")
             .field("cells", &state.block.num_cells())
-            .field("pyramid", &state.block.has_pyramid())
             .field("threshold", &self.threshold)
             .field("data_epoch", &state.data_epoch)
             .field("cache_epoch", &self.cache_epoch())

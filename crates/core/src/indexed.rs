@@ -319,7 +319,7 @@ mod tests {
     fn indexed_layout_costs_more_memory() {
         // §5 compares storage *layouts* for the same records, so the flat
         // side is the cell-aggregate bytes — `memory_bytes` additionally
-        // counts the derived pyramid/prefix structures.
+        // counts the derived pyramid and count prefix.
         let base = base_data(5000);
         let (block, _) = build(&base, 9, &Filter::all());
         let indexed = IndexedBlock::from_block(&block);

@@ -129,8 +129,9 @@ pub(crate) fn fold_level(
 /// Precomputed cell aggregates at every level strictly coarser than the
 /// block level. `levels[l]` is the layer for cell level `l`, for
 /// `l ∈ 0..block_level` (the block's own records *are* the block-level
-/// layer and are not duplicated).
-#[derive(Debug, Clone, PartialEq)]
+/// layer and are not duplicated). The default value is an empty
+/// placeholder for a block whose pyramid is about to be built.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct AggPyramid {
     pub(crate) n_cols: usize,
     pub(crate) levels: Vec<PyramidLevel>,
@@ -310,7 +311,7 @@ mod tests {
     fn layers_match_coarsened_blocks_bitwise() {
         let base = base_data(3000);
         let (block, _) = build(&base, 9, &Filter::all());
-        let pyramid = block.pyramid().expect("built blocks carry a pyramid");
+        let pyramid = block.pyramid();
         assert_eq!(pyramid.num_levels(), 9);
         for l in 0..9u8 {
             let coarse = block.coarsen(l);
@@ -341,14 +342,14 @@ mod tests {
     fn validate_accepts_built_and_rejects_mangled() {
         let base = base_data(1000);
         let (block, _) = build(&base, 6, &Filter::all());
-        let mut pyramid = block.pyramid().unwrap().clone();
+        let mut pyramid = block.pyramid().clone();
         assert!(pyramid.validate(&block).is_ok());
         pyramid.levels[3].counts[0] += 1;
         assert!(pyramid.validate(&block).is_err());
 
         // Adversarial counts whose sum overflows u64: a typed error, not
         // a debug-build arithmetic panic.
-        let mut pyramid = block.pyramid().unwrap().clone();
+        let mut pyramid = block.pyramid().clone();
         assert!(pyramid.levels[3].counts.len() >= 2, "need two cells");
         pyramid.levels[3].counts[0] = u64::MAX;
         pyramid.levels[3].counts[1] = 2;
@@ -360,7 +361,7 @@ mod tests {
         let base = base_data(50);
         let f = Filter::on(&base, "v", gb_data::CmpOp::Lt, -1.0).unwrap();
         let (block, _) = build(&base, 7, &f);
-        let pyramid = block.pyramid().unwrap();
+        let pyramid = block.pyramid();
         assert_eq!(pyramid.num_records(), 0);
         assert_eq!(pyramid.memory_bytes(), 0);
         assert!(pyramid.validate(&block).is_ok());

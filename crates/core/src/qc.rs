@@ -8,6 +8,12 @@
 //! path), hit scoring and the budgeted trie rebuild (`rebuild_trie`),
 //! and the [`CacheMetrics`] / [`RebuildPolicy`] types the engine exposes.
 //!
+//! The trie caches no numbers of its own: `rebuild_trie` copies each
+//! chosen cell's record from the block's canonical fold (its pyramid
+//! layer record, or the block record at the block level), and the
+//! engine re-copies every cached record after each update batch. So a
+//! cache hit combines exactly the record the pyramid path would.
+//!
 //! Figure 8's middle step — combine the cached direct children of a
 //! partially cached cell — is left out on purpose: the aggregate pyramid
 //! answers that cell in one lookup, and exactly, whereas adding the
@@ -20,7 +26,7 @@
 use crate::aggregate::{AggPlan, AggResult};
 use crate::block::GeoBlock;
 use crate::query::{Cursors, QueryStats};
-use crate::trie::{AggregateTrie, FlatHit};
+use crate::trie::AggregateTrie;
 use gb_cell::CellId;
 use gb_common::FxHashMap;
 use gb_data::AggSpec;
@@ -84,10 +90,10 @@ pub(crate) fn root_cell_of(block: &GeoBlock) -> CellId {
 /// `record_hit` is called once per query cell that may overlap the block
 /// (§3.6 hit statistics); the engine feeds its sharded hit maps.
 ///
-/// A cell the trie answers uses the record [`rebuild_trie`] folded in
-/// block order, the same fold the scan performs; every other cell takes
-/// the block's tiered path. So until an update refreshes cached sums in
-/// place, every answer is bit-identical to [`GeoBlock::select_scan`].
+/// A cell the trie answers uses a copy of the block's canonical record
+/// for that cell, the same fold the scan performs; every other cell takes
+/// the block's tiered path. So every answer, before and after updates,
+/// is bit-identical to [`GeoBlock::select_scan`].
 ///
 /// `acc` attributes per-cell time to tracing stages (`TrieLookup` for
 /// cache probes, `PyramidCombine`/`ScanFallback` for residual combines).
@@ -108,7 +114,7 @@ pub(crate) fn select_adapted(
     let mut scratch = AggResult::new(spec);
     let mut stats = QueryStats::default();
     let mut cursors = Cursors::new();
-    // Covering cells arrive sorted by raw id, so the flat-index cursor
+    // Covering cells arrive sorted by raw id, so the hot-lane cursor
     // resolves almost every probe from a forward scan.
     let mut probe = trie.flat_cursor();
 
@@ -125,14 +131,14 @@ pub(crate) fn select_adapted(
         // Probe the cache — the hot lane resolves a cached cell straight
         // to its record, so the common case never touches the node array.
         match acc.time(Stage::TrieLookup, || probe.lookup(qcell)) {
-            FlatHit::Agg(agg) => {
+            Some(agg) => {
                 // Fully cached: answer from the trie.
                 agg.combine_into(&plan, &mut result);
                 metrics.direct_hits += 1;
             }
-            FlatHit::Node(_) | FlatHit::Miss => {
+            None => {
                 // Not cached: the base tiered path.
-                acc.time(fallback_stage(block, &plan, qcell), || {
+                acc.time(fallback_stage(block, qcell), || {
                     block.combine_covering_cell(
                         qcell,
                         spec,
@@ -149,13 +155,11 @@ pub(crate) fn select_adapted(
     (result.finalize(spec), stats)
 }
 
-/// The tracing stage a tiered residual combine will execute under:
-/// cells below the block level are answered by the pyramid (tier 1) or,
-/// for sums-only plans, the O(1) prefix fold (tier 2) — both land in
-/// `PyramidCombine`; everything else scans block-level records. Mirrors
-/// the tier selection in `GeoBlock::combine_covering_cell`.
-fn fallback_stage(block: &GeoBlock, plan: &AggPlan, qcell: CellId) -> Stage {
-    if qcell.level() < block.level && (block.has_pyramid() || plan.sums_only()) {
+/// The tracing stage a tiered residual combine will execute under: cells
+/// coarser than the block level are pyramid lookups, block-level cells
+/// scan. Mirrors the tier selection in `GeoBlock::combine_covering_cell`.
+fn fallback_stage(block: &GeoBlock, qcell: CellId) -> Stage {
+    if qcell.level() < block.level {
         Stage::PyramidCombine
     } else {
         Stage::ScanFallback
@@ -174,48 +178,18 @@ fn score_of(hits: &FxHashMap<u64, u64>, cell: CellId) -> u64 {
     own + parent
 }
 
-/// Aggregate all cell aggregates inside `cell` into the scratch buffers;
-/// returns the tuple count.
-pub(crate) fn aggregate_cell_range(
-    block: &GeoBlock,
-    cell: CellId,
-    mins: &mut [f64],
-    maxs: &mut [f64],
-    sums: &mut [f64],
-) -> u64 {
-    let c = mins.len();
-    mins.fill(f64::INFINITY);
-    maxs.fill(f64::NEG_INFINITY);
-    sums.fill(0.0);
-    let mut count = 0u64;
-    let lo = cell.range_min().raw();
-    let hi = cell.range_max().raw();
-    let mut i = block.lower_bound_from(lo, 0);
-    while i < block.keys.len() && block.keys[i] <= hi {
-        count += u64::from(block.counts[i]);
-        let base = i * c;
-        for col in 0..c {
-            mins[col] = mins[col].min(block.mins[base + col]);
-            maxs[col] = maxs[col].max(block.maxs[base + col]);
-            sums[col] += block.sums[base + col];
-        }
-        i += 1;
-    }
-    count
-}
-
 /// Build a fresh AggregateTrie from hit statistics: sort candidate cells
 /// by (score desc, level asc, key asc) and insert until `budget` bytes are
-/// filled (§3.6 "Determining Relevant Aggregates"). Deterministic for a
-/// given hit map, so the same statistics always rebuild the same cache.
+/// filled (§3.6 "Determining Relevant Aggregates"). Each record is a copy
+/// of `GeoBlock::cell_record`. Deterministic for a given hit map, so the
+/// same statistics always rebuild the same cache.
 pub(crate) fn rebuild_trie(
     block: &GeoBlock,
     root_cell: CellId,
     budget: usize,
     hits: &FxHashMap<u64, u64>,
 ) -> AggregateTrie {
-    let n_cols = block.schema().len();
-    let mut trie = AggregateTrie::new(root_cell, n_cols);
+    let mut trie = AggregateTrie::new(root_cell, block.schema().len());
 
     let mut candidates: Vec<(u64, u8, u64)> = hits
         .keys()
@@ -227,9 +201,6 @@ pub(crate) fn rebuild_trie(
     // Score desc, then level asc (coarser first), then key asc.
     candidates.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2)));
 
-    let mut mins = vec![0.0f64; n_cols];
-    let mut maxs = vec![0.0f64; n_cols];
-    let mut sums = vec![0.0f64; n_cols];
     for (_, _, raw) in candidates {
         let cell = CellId::from_raw(raw);
         let Some(cost) = trie.insertion_cost(cell) else {
@@ -240,14 +211,13 @@ pub(crate) fn rebuild_trie(
             // relevance until the space is exhausted).
             break;
         }
-        let count = aggregate_cell_range(block, cell, &mut mins, &mut maxs, &mut sums);
-        // Empty cells are cached too: a count-0 record answers "no data
-        // here" without touching the aggregates, and Figure 18's cache hit
-        // rate reaching 100 % requires every queried cell to become
-        // cacheable.
-        trie.insert(cell, count, &mins, &maxs, &sums);
+        // Empty cells are cached too (`None` ⇒ a count-0 record): it
+        // answers "no data here" without touching the aggregates, and
+        // Figure 18's cache hit rate reaching 100 % requires every queried
+        // cell to become cacheable.
+        trie.insert_record(cell, block.cell_record(cell));
     }
-    // Rebuilds are publish points: hand readers the flat lookup path.
+    // Rebuilds are publish points: hand readers the hot lane.
     trie.build_flat_index();
     trie
 }

@@ -27,12 +27,12 @@
 //! | `HITS` | (optional) hit-statistic key/count pairs |
 //! | `HOTQ` | (optional) hot-query shapes: count + encoded request bytes |
 //!
-//! Version-1 files (and any file without a `PYRA` section) still load:
-//! the aggregate pyramid is a deterministic fold of the `CELL` arrays, so
-//! the loader rebuilds it in memory — older snapshots pay a one-time
-//! rebuild instead of being rejected. The per-column prefix arrays are
-//! *never* serialized; they are always rebuilt (they cost O(n) to derive
-//! and as much as the `CELL` section to store).
+//! Every block carries a pyramid, so any file without a `PYRA` section —
+//! version 1, or a version-2 file written without one — still loads: the
+//! aggregate pyramid is a deterministic fold of the `CELL` arrays, so the
+//! loader rebuilds it in memory, and such a file pays a one-time rebuild
+//! instead of being rejected. The count prefix is *never* serialized; it
+//! is always rebuilt (O(n) to derive).
 //!
 //! Every load re-derives two digests and compares them with the values
 //! stored at save time: [`GeoBlock::content_hash`] (cell arrays +
@@ -45,6 +45,7 @@
 //! surface as [`SnapshotError`].
 
 use crate::block::GeoBlock;
+use crate::pyramid::AggPyramid;
 use crate::trie::AggregateTrie;
 use gb_cell::{CellId, CurveKind, Grid};
 use gb_common::FxHashMap;
@@ -96,7 +97,7 @@ fn state_hash(
     block: &GeoBlock,
     trie: Option<&AggregateTrie>,
     hits: Option<&FxHashMap<u64, u64>>,
-    pyramid: Option<&crate::AggPyramid>,
+    pyramid: Option<&AggPyramid>,
     hot_queries: Option<&[(u64, Vec<u8>)]>,
 ) -> u64 {
     use std::hash::{Hash, Hasher};
@@ -197,8 +198,8 @@ pub struct SnapshotRef<'a> {
 }
 
 impl SnapshotRef<'_> {
-    /// Serialize to the current container format (the block's pyramid, if
-    /// kept, travels in the `PYRA` section).
+    /// Serialize to the current container format (the block's pyramid
+    /// travels in the `PYRA` section).
     pub fn to_bytes(&self) -> Vec<u8> {
         self.encode(true, SNAPSHOT_VERSION)
     }
@@ -213,7 +214,7 @@ impl SnapshotRef<'_> {
 
     fn encode(self, include_pyramid: bool, version: u16) -> Vec<u8> {
         let b = self.block;
-        let pyramid = if include_pyramid { b.pyramid() } else { None };
+        let pyramid = include_pyramid.then(|| b.pyramid());
         let mut out = SnapshotWriter::new();
 
         let mut w = ByteWriter::new();
@@ -425,14 +426,14 @@ impl Snapshot {
             global_sums,
             dirty_offsets,
             prefix_counts: Vec::new(),
-            prefix_sums: Vec::new(),
-            pyramid: None,
+            pyramid: AggPyramid::default(),
         };
-        // Prefix arrays are never serialized: derive them before
-        // validation (validate checks them against their defining folds).
+        // The count prefix is never serialized: derive it before
+        // validation (validation checks it against its defining fold).
+        // The pyramid is attached or rebuilt below.
         block.rebuild_prefix();
         block
-            .validate()
+            .validate_records()
             .map_err(|e| SnapshotError::corrupt(format!("block: {e}")))?;
         let actual = block.content_hash();
         if actual != stored_hash {
@@ -442,7 +443,7 @@ impl Snapshot {
         }
 
         // The aggregate pyramid: decode + validate when present; absent
-        // (v1 files, compat writers) means rebuild-on-load below.
+        // means rebuild-on-load below.
         let stored_pyramid = match reader.section(TAG_PYRAMID) {
             None => None,
             Some(payload) => {
@@ -473,7 +474,7 @@ impl Snapshot {
                     });
                 }
                 r.finish()?;
-                let pyramid = crate::AggPyramid { n_cols, levels };
+                let pyramid = AggPyramid { n_cols, levels };
                 pyramid
                     .validate(&block)
                     .map_err(|e| SnapshotError::corrupt(format!("pyramid: {e}")))?;
@@ -585,16 +586,11 @@ impl Snapshot {
             )));
         }
         match stored_pyramid {
-            Some(p) => block.pyramid = Some(p),
-            // Rebuild-on-load for *pre-PYRA* files only: a v1 file cannot
-            // say whether its block had a pyramid, so the loader derives
-            // one from the decoded records (the fold is deterministic —
-            // exactly what a v2 save of the same block would store). A v2
-            // file without `PYRA` is a deliberately pyramid-less block
-            // (`GeoBlock::clear_pyramid`, memory-constrained deployments):
-            // honor it, don't resurrect the memory cost behind its back.
-            None if reader.version() < 2 => block.rebuild_pyramid(),
-            None => {}
+            Some(p) => block.pyramid = p,
+            // Rebuild-on-load, whatever the file's version: the fold is
+            // deterministic, so the rebuilt pyramid is exactly what a v2
+            // save of the same block would store.
+            None => block.rebuild_pyramid(),
         }
         Ok(Snapshot {
             block,
@@ -663,6 +659,23 @@ mod tests {
         build(&base, level, &Filter::all()).0
     }
 
+    /// Copy every section of `bytes` through `edit` (`None` drops the
+    /// section) into a new container stamped `version`.
+    fn rewrite_sections(
+        bytes: &[u8],
+        version: u16,
+        edit: impl Fn(SectionTag, &[u8]) -> Option<Vec<u8>>,
+    ) -> Vec<u8> {
+        let reader = SnapshotReader::from_bytes(bytes, SNAPSHOT_VERSION).unwrap();
+        let mut w = SnapshotWriter::new();
+        for tag in reader.tags() {
+            if let Some(payload) = edit(tag, reader.require(tag).unwrap()) {
+                w.section(tag, payload);
+            }
+        }
+        w.into_bytes(version)
+    }
+
     #[test]
     fn block_roundtrips_bit_identically() {
         let b = block(3000, 8);
@@ -721,23 +734,20 @@ mod tests {
         // cover query polygons under the wrong curve/domain.
         let b = block(800, 7);
         let bytes = Snapshot::new(b).to_bytes();
-        let reader = SnapshotReader::from_bytes(&bytes, SNAPSHOT_VERSION).unwrap();
-        let mut w = SnapshotWriter::new();
-        for tag in reader.tags() {
-            if tag == TAG_GRID {
-                // Same domain, Morton instead of Hilbert.
-                let mut g = gb_store::ByteWriter::new();
-                g.f64(0.0);
-                g.f64(0.0);
-                g.f64(100.0);
-                g.f64(100.0);
-                g.u8(1);
-                w.section(TAG_GRID, g.into_inner());
-            } else {
-                w.section(tag, reader.require(tag).unwrap().to_vec());
+        let grafted = rewrite_sections(&bytes, SNAPSHOT_VERSION, |tag, payload| {
+            if tag != TAG_GRID {
+                return Some(payload.to_vec());
             }
-        }
-        let err = Snapshot::from_bytes(&w.into_bytes(SNAPSHOT_VERSION)).unwrap_err();
+            // Same domain, Morton instead of Hilbert.
+            let mut g = gb_store::ByteWriter::new();
+            g.f64(0.0);
+            g.f64(0.0);
+            g.f64(100.0);
+            g.f64(100.0);
+            g.u8(1);
+            Some(g.into_inner())
+        });
+        let err = Snapshot::from_bytes(&grafted).unwrap_err();
         assert!(matches!(err, SnapshotError::Corrupt { .. }), "{err}");
         assert!(err.to_string().contains("state hash"), "{err}");
     }
@@ -764,18 +774,19 @@ mod tests {
             hits: None,
             hot_queries: None,
         };
-        let ra = SnapshotReader::from_bytes(&snap_a.to_bytes(), SNAPSHOT_VERSION).unwrap();
-        let rb = SnapshotReader::from_bytes(&snap_b.to_bytes(), SNAPSHOT_VERSION).unwrap();
-        let mut w = SnapshotWriter::new();
-        for tag in ra.tags() {
-            let payload = if tag == TAG_TRIE {
-                rb.require(tag).unwrap()
-            } else {
-                ra.require(tag).unwrap()
-            };
-            w.section(tag, payload.to_vec());
-        }
-        let err = Snapshot::from_bytes(&w.into_bytes(SNAPSHOT_VERSION)).unwrap_err();
+        let bytes_b = snap_b.to_bytes();
+        let rb = SnapshotReader::from_bytes(&bytes_b, SNAPSHOT_VERSION).unwrap();
+        let grafted = rewrite_sections(&snap_a.to_bytes(), SNAPSHOT_VERSION, |tag, payload| {
+            Some(
+                if tag == TAG_TRIE {
+                    rb.require(tag).unwrap()
+                } else {
+                    payload
+                }
+                .to_vec(),
+            )
+        });
+        let err = Snapshot::from_bytes(&grafted).unwrap_err();
         assert!(matches!(err, SnapshotError::Corrupt { .. }), "{err}");
         assert!(err.to_string().contains("state hash"), "{err}");
     }
@@ -795,11 +806,10 @@ mod tests {
         .to_bytes_v1();
         assert_eq!(v1[8], 1, "compat writer must stamp version 1");
         let back = Snapshot::from_bytes(&v1).expect("v1 file loads");
-        assert!(back.block.has_pyramid(), "pyramid rebuilt on load");
         assert_eq!(back.block.content_hash(), b.content_hash());
         assert_eq!(
-            back.block.pyramid().unwrap().content_hash(),
-            b.pyramid().unwrap().content_hash(),
+            back.block.pyramid().content_hash(),
+            b.pyramid().content_hash(),
             "rebuilt pyramid must equal the built one"
         );
     }
@@ -812,22 +822,34 @@ mod tests {
         assert!(reader.section(TAG_PYRAMID).is_some(), "v2 writes PYRA");
         let back = Snapshot::from_bytes(&bytes).unwrap();
         assert_eq!(
-            back.block.pyramid().unwrap().content_hash(),
-            b.pyramid().unwrap().content_hash()
+            back.block.pyramid().content_hash(),
+            b.pyramid().content_hash()
         );
     }
 
     #[test]
-    fn cleared_pyramid_stays_cleared_across_v2_roundtrip() {
-        // clear_pyramid() is the documented memory-constrained mode: a v2
-        // save of such a block must NOT resurrect the pyramid on load
-        // (only pre-v2 files take the rebuild-on-load path).
-        let mut b = block(800, 7);
-        b.clear_pyramid();
-        let back = Snapshot::from_bytes(&Snapshot::new(b.clone()).to_bytes()).unwrap();
-        assert!(!back.block.has_pyramid(), "pyramid resurrected on load");
+    fn v2_file_without_pyra_rebuilds_the_pyramid_on_load() {
+        // Forge a v2 file with no PYRA section: the v1 writer's sections
+        // (state hash taken over no pyramid) restamped as version 2.
+        let b = block(800, 7);
+        let v1 = SnapshotRef {
+            block: &b,
+            trie: None,
+            hits: None,
+            hot_queries: None,
+        }
+        .to_bytes_v1();
+        let v2 = rewrite_sections(&v1, SNAPSHOT_VERSION, |_, p| Some(p.to_vec()));
+        assert_eq!(v2[8], 2, "forged file must claim version 2");
+        let reader = SnapshotReader::from_bytes(&v2, SNAPSHOT_VERSION).unwrap();
+        assert!(reader.section(TAG_PYRAMID).is_none());
+        let back = Snapshot::from_bytes(&v2).expect("v2 file without PYRA loads");
         assert_eq!(back.block.content_hash(), b.content_hash());
-        // And it still answers queries through the fallback tiers.
+        assert_eq!(
+            back.block.pyramid().content_hash(),
+            b.pyramid().content_hash(),
+            "rebuilt pyramid must equal the built one"
+        );
         back.block.check_invariants();
     }
 
@@ -855,20 +877,19 @@ mod tests {
         let base = extract(&raw, grid, &CleaningRules::none(), None).base;
         let b = build(&base, 7, &Filter::all()).0;
 
-        let ra =
-            SnapshotReader::from_bytes(&Snapshot::new(a).to_bytes(), SNAPSHOT_VERSION).unwrap();
-        let rb =
-            SnapshotReader::from_bytes(&Snapshot::new(b).to_bytes(), SNAPSHOT_VERSION).unwrap();
-        let mut w = SnapshotWriter::new();
-        for tag in ra.tags() {
-            let payload = if tag == TAG_PYRAMID {
-                rb.require(tag).unwrap()
-            } else {
-                ra.require(tag).unwrap()
-            };
-            w.section(tag, payload.to_vec());
-        }
-        let err = Snapshot::from_bytes(&w.into_bytes(SNAPSHOT_VERSION)).unwrap_err();
+        let bytes_b = Snapshot::new(b).to_bytes();
+        let rb = SnapshotReader::from_bytes(&bytes_b, SNAPSHOT_VERSION).unwrap();
+        let grafted = rewrite_sections(&Snapshot::new(a).to_bytes(), SNAPSHOT_VERSION, |tag, p| {
+            Some(
+                if tag == TAG_PYRAMID {
+                    rb.require(tag).unwrap()
+                } else {
+                    p
+                }
+                .to_vec(),
+            )
+        });
+        let err = Snapshot::from_bytes(&grafted).unwrap_err();
         assert!(matches!(err, SnapshotError::Corrupt { .. }), "{err}");
     }
 
@@ -880,16 +901,13 @@ mod tests {
         let payload = reader.require(TAG_PYRAMID).unwrap().to_vec();
 
         let rebuild = |pyra: Vec<u8>| {
-            let mut w = SnapshotWriter::new();
-            for tag in reader.tags() {
-                let p = if tag == TAG_PYRAMID {
+            rewrite_sections(&bytes, SNAPSHOT_VERSION, |tag, p| {
+                Some(if tag == TAG_PYRAMID {
                     pyra.clone()
                 } else {
-                    reader.require(tag).unwrap().to_vec()
-                };
-                w.section(tag, p);
-            }
-            w.into_bytes(SNAPSHOT_VERSION)
+                    p.to_vec()
+                })
+            })
         };
 
         // Unknown internal format byte.
@@ -924,14 +942,10 @@ mod tests {
 
         // Dropping the HOTQ section breaks the state hash: a snapshot's
         // warm-start statistics cannot be silently stripped or replaced.
-        let reader = SnapshotReader::from_bytes(&bytes, SNAPSHOT_VERSION).unwrap();
-        let mut w = SnapshotWriter::new();
-        for tag in reader.tags() {
-            if tag != TAG_HOT_QUERIES {
-                w.section(tag, reader.require(tag).unwrap().to_vec());
-            }
-        }
-        let err = Snapshot::from_bytes(&w.into_bytes(SNAPSHOT_VERSION)).unwrap_err();
+        let stripped = rewrite_sections(&bytes, SNAPSHOT_VERSION, |tag, p| {
+            (tag != TAG_HOT_QUERIES).then(|| p.to_vec())
+        });
+        let err = Snapshot::from_bytes(&stripped).unwrap_err();
         assert!(err.to_string().contains("state hash"), "{err}");
     }
 

@@ -12,29 +12,39 @@
 //! ("typically just a small fraction of the possible earth-wide input
 //! space"). Aggregate records are `count` plus per-column min/max/sum.
 //!
-//! **Read-side flat index.** The node encoding is write-compact but the
+//! **Read-side hot lane.** The node encoding is write-compact but the
 //! per-cell [`AggregateTrie::node_for`] walk chases one pointer per
 //! level — a dependent-load chain that dominates covering-sized probe
 //! loops. Because every allocated node corresponds to exactly one cell
 //! id, the trie also carries a *derived* read-side layout, built once at
-//! publish time ([`AggregateTrie::build_flat_index`]): every node's cell
-//! raw id in one array sorted ascending (raw order *is* space-filling
-//! -curve order, so a covering's probe stream sweeps it monotonically),
-//! plus a "hot lane" restricted to the nodes that carry a cached
-//! aggregate, storing the record offset directly. A [`FlatCursor`]
-//! resolves each probe with a short forward scan from the previous
-//! match — cached hits (the overwhelming case after §3.6 adaptation)
-//! cost ~one compare and skip the node array entirely. The index is
-//! pure acceleration state: cleared by structural mutation
-//! ([`AggregateTrie::insert`]), preserved by in-place aggregate updates
-//! ([`AggregateTrie::update_along_path`]), excluded from
+//! publish time ([`AggregateTrie::build_flat_index`]): the raw ids of the
+//! cells that carry a cached record, sorted ascending (raw order *is*
+//! space-filling-curve order, so a covering's probe stream sweeps it
+//! monotonically), with the record offset stored alongside. A
+//! [`FlatCursor`] resolves each probe with a short forward scan from the
+//! previous match: a cached hit costs ~one compare and never touches the
+//! node array, and a cell absent from the lane is simply not cached. The
+//! lane is pure acceleration state: cleared by structural mutation
+//! ([`AggregateTrie::insert`]), preserved by in-place record rewrites
+//! (which never reassign record offsets), excluded from
 //! [`AggregateTrie::content_hash`] and the snapshot encoding, and not
 //! counted by [`AggregateTrie::size_bytes`] (the Figure-18 budget
-//! bounds the paper's node + record layout; the index is
-//! reconstructible from it). Lookups fall back to the pointer walk
-//! whenever the index is absent, so the two paths are interchangeable —
-//! and a proptest holds them bit-identical.
+//! bounds the paper's node + record layout; the lane is reconstructible
+//! from it). Lookups fall back to the walk whenever the lane is stale,
+//! so the two paths are interchangeable — and a proptest holds them
+//! equal.
+//!
+//! **Records are copies.** The engine fills every cached record from the
+//! block's canonical fold (`GeoBlock::cell_record`: a pyramid layer
+//! record, or the block's own record at the block level) when it
+//! rebuilds the trie, and re-copies all of them after every update
+//! batch (`AggregateTrie::refresh_records`). A cached record is thus
+//! always bit-equal to what the pyramid path would combine for the same
+//! cell. [`AggregateTrie::update_along_path`] — §5's in-place walk, which
+//! adds each new tuple to the cached sums and so reassociates them — is
+//! kept as the paper-literal variant; no engine path calls it.
 
+use crate::block::CellRecord;
 use gb_cell::{CellId, MAX_LEVEL};
 
 /// Sentinel: no child block. Index 0 is always the root, so 0 is free.
@@ -76,57 +86,35 @@ pub struct AggregateTrie {
     /// Cached record payload, stride `3 × n_cols`: mins, then maxs, then
     /// sums (column-indexed within each third).
     agg_values: Vec<f64>,
-    /// Derived read-side index: every allocated node's cell raw id,
-    /// sorted ascending, with `flat_nodes` aligned index-for-index
-    /// (struct-of-arrays, so searches touch only the key column). Raw
-    /// order is curve order with ancestors adjacent to descendants, so
-    /// a covering's sorted probe stream advances through this array
-    /// monotonically. Empty ⇒ lookups walk.
-    flat_keys: Vec<u64>,
-    flat_nodes: Vec<u32>,
-    /// The hot lane: the subset of `flat_keys` whose node carries a
-    /// cached aggregate, with the record offset (`TrieNode::agg`)
-    /// stored directly in `hot_aggs`. After §3.6 adaptation nearly
-    /// every covering probe lands here, so the cursor answers from a
-    /// ~unit-stride sweep of this smaller array without touching the
-    /// node array at all. Record offsets stay valid across
-    /// [`AggregateTrie::update_along_path`], which edits records in
-    /// place and never reassigns them.
+    /// The hot lane: the raw ids of the cells whose node carries a
+    /// cached aggregate, sorted ascending, with the record offset
+    /// (`TrieNode::agg`) aligned index-for-index in `hot_aggs`. Raw order
+    /// is curve order, so a covering's sorted probe stream advances
+    /// through it monotonically. Record offsets stay valid across
+    /// in-place record rewrites, which never reassign them. Built ⇔ it
+    /// lists one entry per record (a stale lane is empty while records
+    /// exist); stale ⇒ lookups walk.
     hot_keys: Vec<u64>,
     hot_aggs: Vec<u32>,
 }
 
-/// A stateful probe over the flat index for ascending probe streams
+/// A stateful probe over the hot lane for ascending probe streams
 /// (covering cells arrive sorted by raw id): each lookup scans one small
 /// window forward from the previous match and only falls back to a full
 /// binary search when the stream jumps. Any probe order is correct —
-/// out-of-order probes just pay the binary search — and every answer is
-/// bit-identical to [`AggregateTrie::node_for`].
+/// out-of-order probes just pay the binary search — and every answer
+/// equals [`AggregateTrie::node_for`] + [`AggregateTrie::agg_of`].
 #[derive(Debug)]
 pub struct FlatCursor<'a> {
     trie: &'a AggregateTrie,
-    /// Borrowed index columns — one pointer hop shorter than going
+    /// Borrowed lane columns — one pointer hop shorter than going
     /// through `trie` on every probe.
     keys: &'a [u64],
-    nodes: &'a [u32],
-    hot_keys: &'a [u64],
-    hot_aggs: &'a [u32],
-    /// Position of the previous match in the full / hot arrays.
+    aggs: &'a [u32],
+    /// Whether the lane is current; if not, every lookup walks.
+    indexed: bool,
+    /// Position of the previous match in the lane.
     pos: usize,
-    hot_pos: usize,
-}
-
-/// What a [`FlatCursor::lookup`] resolved a covering cell to — the three
-/// cases the adapted SELECT (Figure 8) dispatches on.
-#[derive(Debug)]
-pub enum FlatHit<'a> {
-    /// The cell has a cached aggregate record: answer directly.
-    Agg(CachedAgg<'a>),
-    /// The cell's node exists but carries no record (interior or empty
-    /// slot); the caller may still use its children.
-    Node(u32),
-    /// No path to the cell.
-    Miss,
 }
 
 /// First index `i ≥ pos` (clamped) with `keys[i] >= raw`, assuming the
@@ -160,51 +148,22 @@ fn lower_bound_from(keys: &[u64], pos: usize, raw: u64) -> usize {
 }
 
 impl<'a> FlatCursor<'a> {
-    /// Index of the trie node for `cell`, if the path exists.
-    /// Bit-identical to [`AggregateTrie::node_for_walk`] for any probe
-    /// order; ascending streams resolve from the forward window.
-    pub fn node_for(&mut self, cell: CellId) -> Option<u32> {
-        if self.keys.is_empty() {
-            return self.trie.node_for_walk(cell);
+    /// The cached aggregate of `cell`, if the trie holds one — straight
+    /// from the hot lane (~one compare per probe on a sorted covering).
+    pub fn lookup(&mut self, cell: CellId) -> Option<CachedAgg<'a>> {
+        if !self.indexed {
+            // No lane published: the walk is the source of truth.
+            return self
+                .trie
+                .node_for(cell)
+                .and_then(|node| self.trie.agg_of(node));
         }
         let raw = cell.raw();
         let i = lower_bound_from(self.keys, self.pos, raw);
         self.pos = i;
-        match self.keys.get(i) {
-            Some(&key) if key == raw => self.nodes.get(i).copied(),
+        match (self.keys.get(i), self.aggs.get(i)) {
+            (Some(&key), Some(&agg)) if key == raw => Some(self.trie.agg_view(agg)),
             _ => None,
-        }
-    }
-
-    /// Resolve `cell` the way the adapted SELECT consumes it: straight
-    /// to the cached aggregate when one exists (the hot lane, ~one
-    /// compare per probe on a sorted covering), otherwise to the node
-    /// index or a miss. Equivalent to
-    /// `node_for(cell)` + [`AggregateTrie::agg_of`], fused.
-    pub fn lookup(&mut self, cell: CellId) -> FlatHit<'a> {
-        if self.keys.is_empty() {
-            // No index published: the walk is the source of truth.
-            return match self.trie.node_for_walk(cell) {
-                Some(node) => match self.trie.agg_of(node) {
-                    Some(agg) => FlatHit::Agg(agg),
-                    None => FlatHit::Node(node),
-                },
-                None => FlatHit::Miss,
-            };
-        }
-        let raw = cell.raw();
-        let i = lower_bound_from(self.hot_keys, self.hot_pos, raw);
-        self.hot_pos = i;
-        if let (Some(&key), Some(&agg)) = (self.hot_keys.get(i), self.hot_aggs.get(i)) {
-            if key == raw {
-                return FlatHit::Agg(self.trie.agg_view(agg));
-            }
-        }
-        // Not a cached record: resolve interior / empty-slot / miss on
-        // the full array.
-        match self.node_for(cell) {
-            Some(node) => FlatHit::Node(node),
-            None => FlatHit::Miss,
         }
     }
 }
@@ -246,7 +205,7 @@ impl CachedAgg<'_> {
 impl AggregateTrie {
     /// An empty trie rooted at `root_cell` for `n_cols` columns.
     pub fn new(root_cell: CellId, n_cols: usize) -> Self {
-        let mut trie = AggregateTrie {
+        AggregateTrie {
             root_cell,
             nodes: vec![TrieNode {
                 first_child: NO_CHILD,
@@ -255,13 +214,9 @@ impl AggregateTrie {
             n_cols,
             agg_counts: Vec::new(),
             agg_values: Vec::new(),
-            flat_keys: Vec::new(),
-            flat_nodes: Vec::new(),
             hot_keys: Vec::new(),
             hot_aggs: Vec::new(),
-        };
-        trie.build_flat_index();
-        trie
+        }
     }
 
     /// The cell the root node represents.
@@ -295,23 +250,6 @@ impl AggregateTrie {
         self.nodes.len() * 8 + self.agg_counts.len() * self.record_bytes()
     }
 
-    /// Index of the trie node for `cell`, if the path exists. Probes the
-    /// flat index when one is built; otherwise (or after a structural
-    /// mutation cleared it) falls back to the pointer walk. The two
-    /// paths return identical results: the flat index enumerates exactly
-    /// the nodes the walk can reach, keyed by their unique cell ids.
-    pub fn node_for(&self, cell: CellId) -> Option<u32> {
-        if self.flat_keys.is_empty() {
-            return self.node_for_walk(cell);
-        }
-        let raw = cell.raw();
-        let idx = self.flat_keys.partition_point(|&key| key < raw);
-        match self.flat_keys.get(idx) {
-            Some(&key) if key == raw => self.flat_nodes.get(idx).copied(),
-            _ => None,
-        }
-    }
-
     /// A stateful probe for sorted probe streams — the covering loop's
     /// lookup path (the engine's SELECT probes covering cells in
     /// ascending raw order, so consecutive lookups resolve from one
@@ -319,19 +257,17 @@ impl AggregateTrie {
     pub fn flat_cursor(&self) -> FlatCursor<'_> {
         FlatCursor {
             trie: self,
-            keys: &self.flat_keys,
-            nodes: &self.flat_nodes,
-            hot_keys: &self.hot_keys,
-            hot_aggs: &self.hot_aggs,
+            keys: &self.hot_keys,
+            aggs: &self.hot_aggs,
+            indexed: self.has_flat_index(),
             pos: 0,
-            hot_pos: 0,
         }
     }
 
-    /// The original per-level pointer walk — the reference
-    /// implementation [`AggregateTrie::node_for`] is benchmarked and
-    /// property-tested against.
-    pub fn node_for_walk(&self, cell: CellId) -> Option<u32> {
+    /// Index of the trie node for `cell`, if the path exists: the
+    /// per-level pointer walk, and the reference [`FlatCursor::lookup`]
+    /// is benchmarked and property-tested against.
+    pub fn node_for(&self, cell: CellId) -> Option<u32> {
         if !self.root_cell.contains(cell) {
             return None;
         }
@@ -346,51 +282,42 @@ impl AggregateTrie {
         Some(cur)
     }
 
-    /// Whether the read-side flat index is currently built.
+    /// Whether the read-side hot lane is current.
     #[inline]
     pub fn has_flat_index(&self) -> bool {
-        !self.flat_keys.is_empty()
+        self.hot_keys.len() == self.agg_counts.len()
     }
 
-    /// (Re)build the read-side flat index: a DFS from the root assigns
-    /// every allocated node its cell id, then the pairs are sorted by
-    /// raw id into the struct-of-arrays layout. Called at publish time
-    /// (trie rebuild, snapshot load) so queries never pay the pointer
-    /// walk.
-    pub fn build_flat_index(&mut self) {
-        let mut pairs = Vec::with_capacity(self.nodes.len());
+    /// Every `(cell raw id, record offset)` pair the walk can reach, in
+    /// no particular order: a DFS from the root that names each node by
+    /// its cell.
+    fn cached_cells(&self) -> Vec<(u64, u32)> {
+        let mut pairs = Vec::with_capacity(self.agg_counts.len());
         let mut stack = vec![(0u32, self.root_cell)];
         while let Some((node, cell)) = stack.pop() {
-            pairs.push((cell.raw(), node));
-            let first = self
-                .nodes
-                .get(node as usize)
-                .map_or(NO_CHILD, |n| n.first_child);
-            if first != NO_CHILD && cell.level() < MAX_LEVEL {
+            let Some(&TrieNode { first_child, agg }) = self.nodes.get(node as usize) else {
+                continue;
+            };
+            if agg != NO_AGG {
+                pairs.push((cell.raw(), agg));
+            }
+            if first_child != NO_CHILD && cell.level() < MAX_LEVEL {
                 for k in 0..4u8 {
-                    stack.push((first + u32::from(k), cell.child(k)));
+                    stack.push((first_child + u32::from(k), cell.child(k)));
                 }
             }
         }
+        pairs
+    }
+
+    /// (Re)build the read-side hot lane from the cached cells, sorted by
+    /// raw id. Called at publish time (trie rebuild, snapshot load) so
+    /// queries never pay the pointer walk.
+    pub fn build_flat_index(&mut self) {
+        let mut pairs = self.cached_cells();
         pairs.sort_unstable_by_key(|&(raw, _)| raw);
-        // Aliased child pointers (possible only in adversarial snapshot
-        // input) could list a cell twice; keep one so the search stays
-        // a function.
-        pairs.dedup_by_key(|&mut (raw, _)| raw);
-        self.flat_keys = pairs.iter().map(|&(raw, _)| raw).collect();
-        self.flat_nodes = pairs.iter().map(|&(_, node)| node).collect();
-        // The hot lane: cells whose node carries a record, raw-sorted
-        // (a subsequence of an already-sorted array), with the record
-        // offset inlined.
-        self.hot_keys.clear();
-        self.hot_aggs.clear();
-        for &(raw, node) in &pairs {
-            let agg = self.nodes.get(node as usize).map_or(NO_AGG, |n| n.agg);
-            if agg != NO_AGG {
-                self.hot_keys.push(raw);
-                self.hot_aggs.push(agg);
-            }
-        }
+        self.hot_keys = pairs.iter().map(|&(raw, _)| raw).collect();
+        self.hot_aggs = pairs.iter().map(|&(_, agg)| agg).collect();
     }
 
     /// The cached aggregate of a node, if present.
@@ -439,15 +366,27 @@ impl AggregateTrie {
     ///
     /// `mins`/`maxs`/`sums` must each have `n_cols` entries.
     pub fn insert(&mut self, cell: CellId, count: u64, mins: &[f64], maxs: &[f64], sums: &[f64]) {
-        assert!(self.root_cell.contains(cell), "cell outside trie root");
         assert_eq!(mins.len(), self.n_cols);
         assert_eq!(maxs.len(), self.n_cols);
         assert_eq!(sums.len(), self.n_cols);
+        let record = CellRecord {
+            count,
+            mins,
+            maxs,
+            sums,
+        };
+        self.insert_record(cell, Some(record));
+    }
 
-        // Structural mutation may allocate nodes; drop the derived index
-        // and let the publisher rebuild it once after the batch.
-        self.flat_keys.clear();
-        self.flat_nodes.clear();
+    /// Insert (or overwrite) `cell` with a copy of `record`; `None` caches
+    /// the empty record (count 0), which answers "no data here" without
+    /// touching the block.
+    pub(crate) fn insert_record(&mut self, cell: CellId, record: Option<CellRecord<'_>>) {
+        assert!(self.root_cell.contains(cell), "cell outside trie root");
+
+        // Structural mutation may allocate nodes and records; drop the
+        // derived lane and let the publisher rebuild it once after the
+        // batch.
         self.hot_keys.clear();
         self.hot_aggs.clear();
 
@@ -473,19 +412,47 @@ impl AggregateTrie {
         let node = &mut self.nodes[cur as usize];
         if node.agg == NO_AGG {
             node.agg = self.agg_counts.len() as u32;
-            self.agg_counts.push(count);
-            self.agg_values.extend_from_slice(mins);
-            self.agg_values.extend_from_slice(maxs);
-            self.agg_values.extend_from_slice(sums);
-        } else {
-            let idx = node.agg as usize;
-            self.agg_counts[idx] = count;
-            let c = self.n_cols;
-            let base = idx * 3 * c;
-            self.agg_values[base..base + c].copy_from_slice(mins);
-            self.agg_values[base + c..base + 2 * c].copy_from_slice(maxs);
-            self.agg_values[base + 2 * c..base + 3 * c].copy_from_slice(sums);
+            self.agg_counts.push(0);
+            self.agg_values
+                .resize(self.agg_values.len() + 3 * self.n_cols, 0.0);
         }
+        let idx = node.agg;
+        self.write_record(idx, record);
+    }
+
+    /// Re-copy every cached record from `record_of` (the block's
+    /// canonical fold) in place. Structure and record offsets stay as
+    /// they are, so the hot lane stays current.
+    pub(crate) fn refresh_records<'r>(
+        &mut self,
+        record_of: impl Fn(CellId) -> Option<CellRecord<'r>>,
+    ) {
+        for (raw, agg) in self.cached_cells() {
+            self.write_record(agg, record_of(CellId::from_raw(raw)));
+        }
+    }
+
+    /// Overwrite record `idx` with `record`, or with the empty record.
+    fn write_record(&mut self, idx: u32, record: Option<CellRecord<'_>>) {
+        let c = self.n_cols;
+        let idx = idx as usize;
+        let base = idx * 3 * c;
+        let (mins, rest) = self.agg_values[base..base + 3 * c].split_at_mut(c);
+        let (maxs, sums) = rest.split_at_mut(c);
+        self.agg_counts[idx] = match record {
+            Some(r) => {
+                mins.copy_from_slice(r.mins);
+                maxs.copy_from_slice(r.maxs);
+                sums.copy_from_slice(r.sums);
+                r.count
+            }
+            None => {
+                mins.fill(f64::INFINITY);
+                maxs.fill(f64::NEG_INFINITY);
+                sums.fill(0.0);
+                0
+            }
+        };
     }
 
     /// A digest over the whole trie (structure + cached records, floats
@@ -574,8 +541,6 @@ impl AggregateTrie {
             n_cols,
             agg_counts,
             agg_values,
-            flat_keys: Vec::new(),
-            flat_nodes: Vec::new(),
             hot_keys: Vec::new(),
             hot_aggs: Vec::new(),
         };
@@ -586,6 +551,10 @@ impl AggregateTrie {
 
     /// Apply one new tuple to every cached ancestor of `leaf` (the §5
     /// update path: "we can do this in a single depth-first traversal").
+    ///
+    /// Paper-literal variant with no engine caller: adding tuples to
+    /// cached sums reassociates them, so the engine re-copies records
+    /// from the block instead (`AggregateTrie::refresh_records`).
     pub fn update_along_path(&mut self, leaf: CellId, values: &[f64]) {
         assert_eq!(values.len(), self.n_cols);
         if !self.root_cell.contains(leaf) {
@@ -768,16 +737,44 @@ mod tests {
             root().next(),                     // outside the root
             root().parent_at(2),               // above the root
         ];
+        let mut cursor = t.flat_cursor();
         for cell in probes {
-            assert_eq!(t.node_for(cell), t.node_for_walk(cell), "{cell:?}");
+            let via_walk = t.node_for(cell).and_then(|n| t.agg_of(n)).map(|a| a.count);
+            let via_lane = cursor.lookup(cell).map(|a| a.count);
+            assert_eq!(via_lane, via_walk, "{cell:?}");
         }
-        // In-place aggregate updates keep the index valid.
+        // In-place aggregate updates keep the lane current.
         t.update_along_path(root().child(2).child(1).child_begin(30), &[9.0]);
         assert!(t.has_flat_index());
-        let agg = t
-            .agg_of(t.node_for(root().child(2).child(1)).unwrap())
-            .unwrap();
+        let agg = t.flat_cursor().lookup(root().child(2).child(1)).unwrap();
         assert_eq!(agg.count, 8);
+    }
+
+    #[test]
+    fn refresh_records_recopies_in_place() {
+        let mut t = AggregateTrie::new(root(), 1);
+        t.insert(root().child(1), 4, &[1.0], &[4.0], &[8.0]);
+        t.insert(root().child(2), 2, &[0.5], &[0.5], &[1.0]);
+        t.build_flat_index();
+        let (h0, s0) = (t.content_hash(), t.size_bytes());
+        // Child 1 gains data, child 2 becomes empty.
+        t.refresh_records(|cell| {
+            (cell == root().child(1)).then_some(CellRecord {
+                count: 5,
+                mins: &[1.0],
+                maxs: &[9.0],
+                sums: &[17.0],
+            })
+        });
+        assert!(t.has_flat_index(), "no structural change");
+        assert_eq!(t.size_bytes(), s0);
+        assert_ne!(t.content_hash(), h0);
+        let mut cursor = t.flat_cursor();
+        let one = cursor.lookup(root().child(1)).unwrap();
+        assert_eq!((one.count, one.max(0), one.sum(0)), (5, 9.0, 17.0));
+        let two = cursor.lookup(root().child(2)).unwrap();
+        assert_eq!(two.count, 0);
+        assert_eq!(two.min(0), f64::INFINITY);
     }
 
     #[test]

@@ -13,12 +13,14 @@
 //! tuple offsets (the base data has not grown with the updates), flagged
 //! via `dirty_offsets`; COUNT stays O(1) per covering cell regardless,
 //! because it runs over the maintained count prefix, which — like the
-//! aggregate pyramid and the per-column sum prefixes — is rebuilt at the
-//! end of every batch.
+//! aggregate pyramid — is rebuilt at the end of every batch.
 //!
-//! [`crate::GeoBlockEngine::apply_updates`] additionally refreshes every
-//! cached ancestor in the AggregateTrie with a single root-to-leaf walk
-//! per tuple.
+//! [`crate::GeoBlockEngine::apply_updates`] then re-copies every cached
+//! AggregateTrie record from the updated block's canonical fold, the
+//! same rule the pyramid follows: derived aggregates are re-read from the
+//! fold, never patched with deltas. (§5's per-tuple root-to-leaf walk,
+//! [`crate::AggregateTrie::update_along_path`], stays as the
+//! paper-literal variant; the engine does not call it.)
 
 use crate::block::GeoBlock;
 use gb_geom::Point;
@@ -115,8 +117,8 @@ impl GeoBlock {
         }
         self.min_cell = self.keys.first().copied().unwrap_or(0);
         self.max_cell = self.keys.last().copied().unwrap_or(0);
-        // The batch invalidated the derived structures (count/sum prefixes
-        // and every pyramid layer): rebuild them from the updated records
+        // The batch invalidated the derived structures (count prefix and
+        // every pyramid layer): rebuild them from the updated records
         // with the canonical folds. Rebuilding — rather than propagating
         // deltas — is what keeps pyramid lookups bit-identical to range
         // scans after updates; see `DESIGN.md` "Aggregate pyramid".

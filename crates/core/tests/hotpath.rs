@@ -5,7 +5,7 @@
 //!
 //! 1. Memoized coverings answer bit-identically to fresh coverings, and
 //!    rotated rings (same geometry, different start vertex) hit the memo.
-//! 2. The flat binary-search lookup equals the pointer walk on random
+//! 2. The hot-lane cursor lookup equals the pointer walk on random
 //!    tries, for hits and misses alike.
 //! 3. Batched execution is bit-identical to per-request execution — on
 //!    one thread and many — across an update epoch bump.
@@ -16,7 +16,7 @@ use gb_data::{
 };
 use gb_geom::{convex_hull, Point, Polygon, Rect};
 use geoblocks::api::{self, QueryReply, QueryRequest};
-use geoblocks::trie::{AggregateTrie, FlatHit};
+use geoblocks::trie::AggregateTrie;
 use geoblocks::{build, GeoBlockEngine, UpdateBatch};
 use proptest::prelude::*;
 
@@ -132,7 +132,7 @@ proptest! {
         );
     }
 
-    /// Flat-layout lookup ≡ pointer walk on random tries: every inserted
+    /// Hot-lane lookup ≡ pointer walk on random tries: every inserted
     /// cell, its ancestors, structural siblings, cells below leaves, and
     /// cells outside the root agree between the two paths.
     #[test]
@@ -172,47 +172,22 @@ proptest! {
             all_probes.push(root.parent_at(root.level() - 1));
         }
 
-        // The stateless search and the stateful cursor (fed the probes
-        // in this arbitrary — not sorted — order) must both equal the
-        // walk, and the fused `lookup` must agree with walk + `agg_of`.
+        // The stateful cursor, fed the probes in this arbitrary — not
+        // sorted — order, must agree with walk + `agg_of`, hit or miss.
         let mut cursor = trie.flat_cursor();
-        let mut fused = trie.flat_cursor();
         for cell in &all_probes {
-            let want_node = trie.node_for_walk(*cell);
-            let want_agg = want_node.and_then(|n| trie.agg_of(n)).map(|a| a.count);
+            let want = trie.node_for(*cell).and_then(|n| trie.agg_of(n)).map(|a| a.count);
             prop_assert_eq!(
-                trie.node_for(*cell),
-                want_node,
-                "flat/walk diverged at {:?}",
-                cell
-            );
-            prop_assert_eq!(
-                cursor.node_for(*cell),
-                want_node,
+                cursor.lookup(*cell).map(|a| a.count),
+                want,
                 "cursor/walk diverged at {:?}",
                 cell
             );
-            match fused.lookup(*cell) {
-                FlatHit::Agg(agg) => prop_assert_eq!(
-                    Some(agg.count),
-                    want_agg,
-                    "lookup returned a record the walk does not see at {:?}",
-                    cell
-                ),
-                FlatHit::Node(node) => {
-                    prop_assert_eq!(Some(node), want_node, "lookup node diverged at {:?}", cell);
-                    prop_assert!(want_agg.is_none(), "lookup missed the record at {:?}", cell);
-                }
-                FlatHit::Miss => {
-                    prop_assert!(want_node.is_none(), "lookup missed a node at {:?}", cell)
-                }
-            }
         }
-        // Cached aggregates resolve identically through the flat path.
+        // Every inserted cell is cached, and resolves through the lane.
+        let mut cursor = trie.flat_cursor();
         for cell in &inserted {
-            let via_flat = trie.node_for(*cell).and_then(|n| trie.agg_of(n)).map(|a| a.count);
-            let via_walk = trie.node_for_walk(*cell).and_then(|n| trie.agg_of(n)).map(|a| a.count);
-            prop_assert_eq!(via_flat, via_walk);
+            prop_assert!(cursor.lookup(*cell).is_some(), "lane lost {:?}", cell);
         }
     }
 

@@ -30,14 +30,6 @@ fn spec() -> AggSpec {
     ])
 }
 
-fn sums_only_spec() -> AggSpec {
-    AggSpec::new(vec![
-        AggRequest::new(AggFunc::Count, 0),
-        AggRequest::new(AggFunc::Sum, 0),
-        AggRequest::new(AggFunc::Avg, 1),
-    ])
-}
-
 fn make_base(points: &[(f64, f64)]) -> gb_data::BaseTable {
     let mut raw = RawTable::new(schema());
     for (i, &(x, y)) in points.iter().enumerate() {
@@ -87,7 +79,6 @@ proptest! {
         let poly = make_polygon(&seeds).unwrap();
         let base = make_base(&points);
         let (block, _) = build(&base, level, &Filter::all());
-        prop_assert!(block.has_pyramid());
         block.check_invariants();
         assert_paths_identical(&block, &poly, &spec());
 
@@ -147,34 +138,6 @@ proptest! {
             assert_paths_identical(&block, &poly, &spec());
         }
         prop_assert!(saw_in_place || saw_new_cell);
-    }
-
-    /// The prefix-fold tier (pyramid dropped, sums-only spec): COUNT is
-    /// exact; SUM/AVG are exact reassociations, so they agree with the
-    /// scan to FP tolerance and with ground truth like any other path.
-    #[test]
-    fn prefix_fold_tier_agrees_with_scan(
-        points in prop::collection::vec((0.0..DOMAIN, 0.0..DOMAIN), 50..300),
-        seeds in prop::collection::vec((0.0..DOMAIN, 0.0..DOMAIN), 3..8),
-        level in 5u8..12,
-    ) {
-        prop_assume!(make_polygon(&seeds).is_some());
-        let poly = make_polygon(&seeds).unwrap();
-        let base = make_base(&points);
-        let (mut block, _) = build(&base, level, &Filter::all());
-        block.clear_pyramid();
-        block.check_invariants();
-        let s = sums_only_spec();
-        let (fast, stats) = block.select(&poly, &s);
-        let (scan, _) = block.select_scan(&poly, &s);
-        prop_assert_eq!(fast.count, scan.count);
-        prop_assert!(fast.approx_eq(&scan, 1e-9), "{:?} vs {:?}", fast, scan);
-        prop_assert!(stats.cells_combined <= stats.query_cells);
-
-        // Specs with min/max fall back to the scan tier: exact agreement.
-        let (a, _) = block.select(&poly, &spec());
-        let (b, _) = block.select_scan(&poly, &spec());
-        prop_assert!(a.approx_eq(&b, 0.0));
     }
 }
 
@@ -302,7 +265,10 @@ fn prefix_count_matches_ground_truth_after_mixed_batches() {
 /// polygons, rebuild, then query shifted copies that the cache has never
 /// seen. Many of their covering cells land on trie nodes whose own
 /// aggregate is not cached while some children's are; those cells must
-/// still answer bit-identically to the range-scan reference.
+/// still answer bit-identically to the range-scan reference. Then commit
+/// update batches — tuples in occupied cells and tuples that splice in
+/// new ones — and require the warm engine to stay bit-identical to a scan
+/// of the updated block: cached records must follow the data exactly.
 #[test]
 fn warm_engine_on_shifted_polygons_is_bit_identical_to_scan() {
     let ds = datasets::nyc_taxi(20_000, 3);
@@ -333,4 +299,53 @@ fn warm_engine_on_shifted_polygons_is_bit_identical_to_scan() {
         }
     }
     assert!(engine.metrics().direct_hits > 0, "the trie was never used");
+
+    let domain = block.grid().domain();
+    let mut state = 0x5eed_u64;
+    let mut next = move || {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (state >> 11) as f64 / (1u64 << 53) as f64
+    };
+    let (mut in_place, mut new_cells) = (0, 0);
+    for _ in 0..20 {
+        let mut batch = UpdateBatch::new();
+        for _ in 0..16 {
+            // Three in four rows land on existing data, the rest anywhere.
+            let at = if next() < 0.75 {
+                base.location((next() * base.num_rows() as f64) as usize)
+            } else {
+                Point::new(
+                    domain.min.x + next() * domain.width(),
+                    domain.min.y + next() * domain.height(),
+                )
+            };
+            let values = (0..base.schema().len())
+                .map(|col| next() * 10f64.powi(col as i32 % 4))
+                .collect();
+            batch.push(at, values);
+        }
+        let report = engine.apply_updates(&batch).unwrap().result;
+        in_place += report.in_place;
+        new_cells += report.new_cells;
+    }
+    assert!(
+        in_place > 0 && new_cells > 0,
+        "{in_place} in place, {new_cells} new"
+    );
+    let updated = engine.block_snapshot();
+    let hits_before = engine.metrics().direct_hits;
+    for (i, p) in hoods.iter().enumerate() {
+        let got = engine.select(p, &s).result;
+        let (want, _) = updated.select_scan(p, &s);
+        assert!(
+            got.approx_eq(&want, 0.0),
+            "hood {i} after updates: {got:?} vs {want:?}"
+        );
+    }
+    assert!(
+        engine.metrics().direct_hits > hits_before,
+        "the trie was not used after updates"
+    );
 }
