@@ -119,20 +119,18 @@ fn bench_trie_lookup(c: &mut Criterion) {
     let coverings: Vec<_> = s.polys.iter().map(|p| s.block.cover(p)).collect();
     let cells: Vec<gb_cell::CellId> = coverings.iter().flat_map(|c| c.iter()).collect();
 
-    // `trie_lookup` keeps the baseline semantics (the per-level pointer
-    // walk); `trie_lookup_flat` is the published read path (the hot
-    // lane's sorted-stream cursor, exactly what `select_adapted` uses
-    // over a covering). Same probes, same trie.
+    // `trie_lookup` probes each cell on its own (`AggregateTrie::get`, a
+    // full binary search per probe); `trie_lookup_flat` is the published
+    // read path (the sorted-stream cursor, exactly what `select_adapted`
+    // uses over a covering). Same probes, same trie.
     let trie = engine.trie_snapshot();
-    assert!(trie.has_flat_index(), "rebuild must publish the hot lane");
+    assert!(trie.num_cached() > 0, "rebuild must cache cells");
     c.bench_function("trie_lookup", |b| {
         b.iter(|| {
             let mut hits = 0usize;
             for &cell in &cells {
-                if let Some(node) = trie.node_for(black_box(cell)) {
-                    if trie.agg_of(node).is_some() {
-                        hits += 1;
-                    }
+                if trie.get(black_box(cell)).is_some() {
+                    hits += 1;
                 }
             }
             hits

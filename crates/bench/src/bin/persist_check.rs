@@ -11,7 +11,10 @@
 //! 3. corrupt / truncated / wrong-magic / wrong-version snapshots return
 //!    typed errors — never panics,
 //! 4. the hardened request path: an unknown filter column is a clean
-//!    `DataError`, not a process kill.
+//!    `DataError`, not a process kill,
+//! 5. a checked-in version-2 file whose `TRIE` node arrays follow the
+//!    older insertion-order layout still verifies, and its warm engine
+//!    answers bit-identically to the range scan.
 //!
 //! Prints one `ok:`/`FAIL:` line per check; exits 1 on any failure.
 
@@ -198,6 +201,44 @@ fn main() {
         Filter::on(&base, "definitely_not_a_column", CmpOp::Eq, 1.0).is_err(),
         "expected DataError::UnknownColumn",
     );
+
+    // 5. A file written with the insertion-order TRIE layout (see
+    // `crates/core/tests/fixtures`): same diamonds as its writer queried.
+    let fixture = include_bytes!("../../../core/tests/fixtures/insertion_order_v2.gbsnap");
+    let fixture_path = dir.join("insertion_order_v2.gbsnap");
+    std::fs::write(&fixture_path, fixture).expect("write fixture copy");
+    match (
+        Snapshot::from_bytes(fixture),
+        GeoBlockEngine::from_snapshot(&fixture_path, 0.5),
+    ) {
+        (Ok(snap), Ok(warm)) => {
+            let spec = AggSpec::k_aggregates(snap.block.schema(), 4);
+            let diamond = |cx: f64, cy: f64, r: f64| {
+                Polygon::new(vec![
+                    gb_geom::Point::new(cx, cy - r),
+                    gb_geom::Point::new(cx + r, cy),
+                    gb_geom::Point::new(cx, cy + r),
+                    gb_geom::Point::new(cx - r, cy),
+                ])
+            };
+            let identical = [(30.0, 30.0, 18.0), (70.0, 40.0, 14.0), (45.0, 75.0, 20.0)]
+                .iter()
+                .all(|&(cx, cy, r)| {
+                    let poly = diamond(cx, cy, r);
+                    let (scan, _) = snap.block.select_scan(&poly, &spec);
+                    warm.select(&poly, &spec).result.approx_eq(&scan, 0.0)
+                });
+            gate.check(
+                "insertion-order TRIE file loads warm and exact",
+                snap.trie.is_some() && identical && warm.metrics().direct_hits > 0,
+                "fixture answers diverged from the scan, or its cache is cold",
+            );
+        }
+        (Err(e), _) | (_, Err(e)) => {
+            gate.check("insertion-order TRIE file loads", false, &format!("{e}"))
+        }
+    }
+    let _ = std::fs::remove_file(&fixture_path);
 
     let _ = std::fs::remove_file(&path);
     if gate.failed {

@@ -13,6 +13,7 @@
 
 use crate::aggregate::AggResult;
 use crate::pyramid::AggPyramid;
+use crate::table::{seek, CellRecord};
 use gb_cell::{CellId, Grid};
 use gb_data::{AggSpec, Schema};
 
@@ -70,16 +71,6 @@ pub struct GeoBlock {
     pub(crate) pyramid: AggPyramid,
 }
 
-/// One cell's canonical aggregate record, borrowed from a block's own
-/// records or from its pyramid ([`GeoBlock::cell_record`]).
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct CellRecord<'a> {
-    pub(crate) count: u64,
-    pub(crate) mins: &'a [f64],
-    pub(crate) maxs: &'a [f64],
-    pub(crate) sums: &'a [f64],
-}
-
 impl GeoBlock {
     /// The grid this block decomposes.
     #[inline]
@@ -129,16 +120,16 @@ impl GeoBlock {
         CellId::from_raw(self.keys[idx])
     }
 
-    /// First aggregate index with key ≥ `key`, searching from `from`.
+    /// Cell aggregate `idx` as a record view.
     #[inline]
-    pub(crate) fn lower_bound_from(&self, key: u64, from: usize) -> usize {
-        from + self.keys[from..].partition_point(|&k| k < key)
-    }
-
-    /// First aggregate index with key > `key`, searching from `from`.
-    #[inline]
-    pub(crate) fn upper_bound_from(&self, key: u64, from: usize) -> usize {
-        from + self.keys[from..].partition_point(|&k| k <= key)
+    pub(crate) fn record(&self, idx: usize) -> CellRecord<'_> {
+        let at = idx * self.n_cols()..(idx + 1) * self.n_cols();
+        CellRecord {
+            count: u64::from(self.counts[idx]),
+            mins: &self.mins[at.clone()],
+            maxs: &self.maxs[at.clone()],
+            sums: &self.sums[at],
+        }
     }
 
     /// The block-wide aggregate from the global header (100 % selectivity
@@ -213,25 +204,14 @@ impl GeoBlock {
     /// block level, and `None` for an empty cell (or one finer than the
     /// block level). Every cached trie record is a copy of this.
     pub(crate) fn cell_record(&self, cell: CellId) -> Option<CellRecord<'_>> {
-        let c = self.n_cols();
-        let (i, count, mins, maxs, sums) = if cell.level() < self.level {
-            let layer = self.pyramid.layer(cell.level())?;
-            let i = layer.keys.binary_search(&cell.raw()).ok()?;
-            (i, layer.counts[i], &layer.mins, &layer.maxs, &layer.sums)
-        } else if cell.level() == self.level {
-            let i = self.keys.binary_search(&cell.raw()).ok()?;
-            let count = u64::from(self.counts[i]);
-            (i, count, &self.mins, &self.maxs, &self.sums)
+        if cell.level() < self.level {
+            self.pyramid
+                .layer(cell.level())?
+                .find_from(&mut 0, cell.raw())
         } else {
-            return None;
-        };
-        let at = i * c..(i + 1) * c;
-        Some(CellRecord {
-            count,
-            mins: &mins[at.clone()],
-            maxs: &maxs[at.clone()],
-            sums: &sums[at],
-        })
+            let i = seek(&self.keys, 0, cell.raw());
+            (self.keys.get(i) == Some(&cell.raw())).then(|| self.record(i))
+        }
     }
 
     /// (Re)build the pyramid from the current cell aggregates with the

@@ -235,7 +235,12 @@ impl GeoBlockEngine {
 
     /// Cache budget in bytes (threshold × cell-aggregate bytes).
     pub fn budget_bytes(&self) -> usize {
-        let block = self.block_snapshot();
+        self.budget_for(&self.block_snapshot())
+    }
+
+    /// The cache budget over `block`: `threshold` × its cell-aggregate
+    /// bytes (Figure 18's "aggregate threshold").
+    fn budget_for(&self, block: &GeoBlock) -> usize {
         (self.threshold * (block.num_cells() * block.record_bytes()) as f64) as usize
     }
 
@@ -715,11 +720,8 @@ impl GeoBlockEngine {
         // stale before the swap.
         self.state.publish(|cur| {
             let hits = self.snapshot_hits();
-            let budget = (self.threshold
-                * (cur.block.num_cells() * cur.block.record_bytes()) as f64)
-                as usize;
             // Expensive part: no slot lock held.
-            let fresh = qc::rebuild_trie(&cur.block, cur.trie.root_cell(), budget, &hits);
+            let fresh = qc::rebuild_trie(&cur.block, self.budget_for(&cur.block), &hits);
             // Same block, same data epoch: rebuilds never change answers.
             (
                 EngineState {
@@ -1049,6 +1051,60 @@ mod tests {
         let fresh = GeoBlockEngine::new((*engine.block_snapshot()).clone(), 0.5);
         let fresh = fresh.select(&hot, &s);
         assert!(after.result.approx_eq(&fresh.result, 0.0), "bit-identical");
+    }
+
+    #[test]
+    fn rebuild_roots_the_trie_at_the_updated_block() {
+        // All data in one corner, so the first trie root is a small cell.
+        let mut state = 7u64;
+        let mut unit = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((state >> 16) % 10_000) as f64 / 10_000.0
+        };
+        let mut raw = RawTable::new(Schema::new(vec![ColumnDef::f64("v")]));
+        for i in 0..3000 {
+            raw.push_row(
+                Point::new(1.0 + 8.0 * unit(), 1.0 + 8.0 * unit()),
+                &[i as f64],
+            );
+        }
+        let grid = Grid::hilbert(Rect::from_bounds(0.0, 0.0, 100.0, 100.0));
+        let base = extract(&raw, grid, &CleaningRules::none(), None).base;
+        let (block, _) = build(&base, 8, &Filter::all());
+        let engine = GeoBlockEngine::new(block, 0.5);
+        let first_root = engine.trie_snapshot().root_cell();
+
+        // Updates add cells in the far corner, outside that root.
+        let mut batch = UpdateBatch::new();
+        for i in 0..500 {
+            batch.push(
+                Point::new(86.0 + 8.0 * unit(), 86.0 + 8.0 * unit()),
+                vec![i as f64],
+            );
+        }
+        engine.apply_updates(&batch).expect("valid batch");
+        let (near, far) = (diamond(5.0, 5.0, 3.0), diamond(90.0, 90.0, 3.0));
+        let s = spec();
+        for _ in 0..5 {
+            engine.select(&near, &s);
+            engine.select(&far, &s);
+        }
+        engine.rebuild_cache();
+        let root = engine.trie_snapshot().root_cell();
+        assert!(
+            root.contains(first_root) && root != first_root,
+            "root {root:?}"
+        );
+
+        let block = engine.block_snapshot();
+        for poly in [&far, &near] {
+            engine.reset_metrics();
+            let got = engine.select(poly, &s).result;
+            assert!(engine.metrics().direct_hits > 0, "no cached cell answered");
+            assert!(got.approx_eq(&block.select_scan(poly, &s).0, 0.0));
+        }
     }
 
     #[test]

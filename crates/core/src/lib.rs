@@ -40,10 +40,11 @@
 //! |---|---|
 //! | [`api`] — typed query requests/replies, unified errors, wire codec | — |
 //! | [`block`] — storage layout, header, coarsening | §3.4 |
+//! | [`table`] — the sorted cell-record table and its seek, shared by pyramid layers and trie | §3.4, §3.6 |
 //! | [`pyramid`] — multi-resolution aggregate pyramid | §3.4 "granularity", §3.5 |
 //! | [`build`](mod@build) — single- or multi-threaded builds from sorted base data | §3.3 |
 //! | [`query`] — SELECT (Listing 1) and COUNT (Listing 2) | §3.5 |
-//! | [`trie`] — the AggregateTrie cache | §3.6, Fig. 7 |
+//! | [`trie`] — the AggregateTrie cache: one record table, Figure 7's layout as arithmetic | §3.6, Fig. 7 |
 //! | [`qc`] — the BlockQC kernel: adapted query + scoring/rebuild | §3.6, Fig. 8 |
 //! | [`engine`] — BlockQC front-end: `Send + Sync` read path (sharded stats, epoch-swapped cache) | §3.6 |
 //! | [`snapshot`] — versioned persistence of blocks + learned cache state | — |
@@ -63,6 +64,7 @@ pub mod pyramid;
 pub mod qc;
 pub mod query;
 pub mod snapshot;
+pub mod table;
 pub mod trie;
 pub mod update;
 

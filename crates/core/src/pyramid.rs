@@ -7,7 +7,9 @@
 //! interior cells. The base query path expands a coarse interior cell into
 //! a scan over up to 4^Δ block-level records; the pyramid instead holds
 //! one precomputed record per non-empty cell per level, so any covering
-//! cell is answered by **one** binary search and **one** record combine.
+//! cell is answered by **one** seek and **one** record combine. Each layer
+//! is a `CellTable` — the record layout the AggregateTrie shares — and
+//! is probed through the same cursor-resumed [`crate::table`] seek.
 //!
 //! Every layer is defined as the *in-order fold* of the block-level
 //! records it covers — the same fold [`GeoBlock::coarsen`] uses — so a
@@ -23,41 +25,9 @@
 //! count.
 
 use crate::block::GeoBlock;
+use crate::table::CellTable;
 use gb_cell::CellId;
 use gb_common::Pool;
-
-/// One pyramid layer: cell aggregates at a single level coarser than the
-/// block level, sorted by key — the same SoA layout as the block's own
-/// records minus the base-data linkage (offsets, leaf-key bounds).
-#[derive(Debug, Clone, PartialEq)]
-pub struct PyramidLevel {
-    /// The cell level of this layer.
-    pub(crate) level: u8,
-    /// Cell ids (raw) at `level`, ascending.
-    pub(crate) keys: Vec<u64>,
-    /// Tuples per cell. `u64`: coarse cells aggregate entire subtrees, so
-    /// the block's per-cell `u32` bound does not apply.
-    pub(crate) counts: Vec<u64>,
-    /// Per-column minima, flattened `cell × column`.
-    pub(crate) mins: Vec<f64>,
-    /// Per-column maxima, flattened `cell × column`.
-    pub(crate) maxs: Vec<f64>,
-    /// Per-column sums, flattened `cell × column`.
-    pub(crate) sums: Vec<f64>,
-}
-
-impl PyramidLevel {
-    /// Number of non-empty cells in this layer.
-    #[inline]
-    pub fn num_cells(&self) -> usize {
-        self.keys.len()
-    }
-
-    /// Heap bytes: key (8) + count (8) + 3 × 8 per column, per cell.
-    pub(crate) fn memory_bytes(&self, n_cols: usize) -> usize {
-        self.keys.len() * (16 + 24 * n_cols)
-    }
-}
 
 /// In-order fold of a block's records into their ancestors at `level` —
 /// the canonical aggregation shared (statement for statement) with
@@ -71,21 +41,14 @@ pub(crate) fn fold_level(
     maxs: &[f64],
     sums: &[f64],
     c: usize,
-) -> PyramidLevel {
+) -> CellTable {
     // At most one cell per distinct level-`level` ancestor: the layer can
     // never exceed `4^level` cells nor the block's own cell count.
     // Reserving the bound up front keeps the grouping loop reallocation-
     // free (builds run this once per level); `shrink_to_fit` afterwards
     // returns the slack so the resident pyramid stays honest.
     let cap = (1usize << (2 * u32::from(level)).min(62)).min(keys.len());
-    let mut out = PyramidLevel {
-        level,
-        keys: Vec::with_capacity(cap),
-        counts: Vec::with_capacity(cap),
-        mins: Vec::with_capacity(cap * c),
-        maxs: Vec::with_capacity(cap * c),
-        sums: Vec::with_capacity(cap * c),
-    };
+    let mut out = CellTable::with_capacity(c, cap);
     // Sentinel bit of `level`: `parent + (lsb − 1)` is the raw id of the
     // group's last descendant leaf (`CellId::range_max`, hoisted to pure
     // arithmetic for the hot loop).
@@ -128,13 +91,14 @@ pub(crate) fn fold_level(
 
 /// Precomputed cell aggregates at every level strictly coarser than the
 /// block level. `levels[l]` is the layer for cell level `l`, for
-/// `l ∈ 0..block_level` (the block's own records *are* the block-level
-/// layer and are not duplicated). The default value is an empty
+/// `l ∈ 0..block_level` — one `CellTable` of level-`l` cells (the
+/// block's own records *are* the block-level layer and are not
+/// duplicated). The default value is an empty
 /// placeholder for a block whose pyramid is about to be built.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct AggPyramid {
     pub(crate) n_cols: usize,
-    pub(crate) levels: Vec<PyramidLevel>,
+    pub(crate) levels: Vec<CellTable>,
 }
 
 impl AggPyramid {
@@ -165,7 +129,7 @@ impl AggPyramid {
     /// The layer for cells at `level`, if the pyramid reaches it (it never
     /// holds the block level itself — the block's records serve that).
     #[inline]
-    pub(crate) fn layer(&self, level: u8) -> Option<&PyramidLevel> {
+    pub(crate) fn layer(&self, level: u8) -> Option<&CellTable> {
         self.levels.get(level as usize)
     }
 
@@ -177,16 +141,13 @@ impl AggPyramid {
 
     /// Total records across all layers.
     pub fn num_records(&self) -> usize {
-        self.levels.iter().map(PyramidLevel::num_cells).sum()
+        self.levels.iter().map(CellTable::len).sum()
     }
 
     /// Heap bytes of every layer — the pyramid's share of
     /// [`GeoBlock::memory_bytes`] (Figure 11b accounting).
     pub fn memory_bytes(&self) -> usize {
-        self.levels
-            .iter()
-            .map(|l| l.memory_bytes(self.n_cols))
-            .sum()
+        self.levels.iter().map(CellTable::memory_bytes).sum()
     }
 
     /// Digest over every layer (floats by bit pattern) — the pyramid's
@@ -197,13 +158,9 @@ impl AggPyramid {
         let mut h = gb_common::FxHasher::default();
         self.n_cols.hash(&mut h);
         self.levels.len().hash(&mut h);
-        for layer in &self.levels {
-            layer.level.hash(&mut h);
-            layer.keys.hash(&mut h);
-            layer.counts.hash(&mut h);
-            for v in layer.mins.iter().chain(&layer.maxs).chain(&layer.sums) {
-                v.to_bits().hash(&mut h);
-            }
+        for (level, layer) in self.levels.iter().enumerate() {
+            (level as u8).hash(&mut h);
+            layer.hash_into(&mut h);
         }
         h.finish()
     }
@@ -228,34 +185,14 @@ impl AggPyramid {
                 block.level()
             ));
         }
-        let c = self.n_cols;
         for (l, layer) in self.levels.iter().enumerate() {
-            if layer.level as usize != l {
-                return Err(format!("layer {l} labeled level {}", layer.level));
-            }
-            let n = layer.keys.len();
-            if layer.counts.len() != n {
-                return Err(format!(
-                    "layer {l}: {} counts for {n} keys",
-                    layer.counts.len()
-                ));
-            }
-            if layer.mins.len() != n * c || layer.maxs.len() != n * c || layer.sums.len() != n * c {
-                return Err(format!(
-                    "layer {l}: aggregate arrays must hold {} values",
-                    n * c
-                ));
-            }
-            if !layer.keys.windows(2).all(|w| w[0] < w[1]) {
-                return Err(format!("layer {l}: keys not strictly ascending"));
-            }
-            for &k in &layer.keys {
-                let Some(cell) = CellId::try_from_raw(k) else {
-                    return Err(format!("layer {l}: malformed cell id {k:#x}"));
-                };
-                if cell.level() as usize != l {
-                    return Err(format!("layer {l}: cell {k:#x} at level {}", cell.level()));
-                }
+            layer.validate().map_err(|e| format!("layer {l}: {e}"))?;
+            if let Some(k) = layer
+                .keys
+                .iter()
+                .find(|&&k| usize::from(CellId::from_raw(k).level()) != l)
+            {
+                return Err(format!("layer {l}: cell {k:#x} at another level"));
             }
             // Checked sum: counts are untrusted u64s from a snapshot
             // file — a crafted pair like [u64::MAX, 2] must be a typed

@@ -7,6 +7,10 @@
 //! when present, otherwise answer the cell with the block's tiered
 //! path), hit scoring and the budgeted trie rebuild (`rebuild_trie`),
 //! and the [`CacheMetrics`] / [`RebuildPolicy`] types the engine exposes.
+//! The trie and the pyramid layers are the same sorted record table
+//! ([`crate::table`]), probed by the same seek and folded by the same
+//! combine, so the adapted SELECT has one record layout whichever
+//! structure answers a cell.
 //!
 //! The trie caches no numbers of its own: `rebuild_trie` copies each
 //! chosen cell's record from the block's canonical fold (its pyramid
@@ -26,7 +30,7 @@
 use crate::aggregate::{AggPlan, AggResult};
 use crate::block::GeoBlock;
 use crate::query::{Cursors, QueryStats};
-use crate::trie::AggregateTrie;
+use crate::trie::{AggregateTrie, TrieBuilder};
 use gb_cell::CellId;
 use gb_common::FxHashMap;
 use gb_data::AggSpec;
@@ -114,8 +118,8 @@ pub(crate) fn select_adapted(
     let mut scratch = AggResult::new(spec);
     let mut stats = QueryStats::default();
     let mut cursors = Cursors::new();
-    // Covering cells arrive sorted by raw id, so the hot-lane cursor
-    // resolves almost every probe from a forward scan.
+    // Covering cells arrive sorted by raw id, so the trie cursor resolves
+    // almost every probe from a forward scan.
     let mut probe = trie.flat_cursor();
 
     for qcell in covering.iter() {
@@ -128,42 +132,28 @@ pub(crate) fn select_adapted(
         record_hit(qcell.raw());
         metrics.probes += 1;
 
-        // Probe the cache — the hot lane resolves a cached cell straight
-        // to its record, so the common case never touches the node array.
+        // Probe the cache: the cursor seeks the trie's record table, the
+        // same seek and record layout the pyramid layers use.
         match acc.time(Stage::TrieLookup, || probe.lookup(qcell)) {
-            Some(agg) => {
+            Some(record) => {
                 // Fully cached: answer from the trie.
-                agg.combine_into(&plan, &mut result);
+                record.combine_into(&plan, &mut result);
                 metrics.direct_hits += 1;
             }
-            None => {
-                // Not cached: the base tiered path.
-                acc.time(fallback_stage(block, qcell), || {
-                    block.combine_covering_cell(
-                        qcell,
-                        spec,
-                        &plan,
-                        &mut scratch,
-                        &mut result,
-                        &mut stats,
-                        &mut cursors,
-                    )
-                });
-            }
+            // Not cached: the base tiered path, timed under its tier's stage.
+            None => block.combine_covering_cell(
+                qcell,
+                spec,
+                &plan,
+                &mut scratch,
+                &mut result,
+                &mut stats,
+                &mut cursors,
+                acc,
+            ),
         }
     }
     (result.finalize(spec), stats)
-}
-
-/// The tracing stage a tiered residual combine will execute under: cells
-/// coarser than the block level are pyramid lookups, block-level cells
-/// scan. Mirrors the tier selection in `GeoBlock::combine_covering_cell`.
-fn fallback_stage(block: &GeoBlock, qcell: CellId) -> Stage {
-    if qcell.level() < block.level {
-        Stage::PyramidCombine
-    } else {
-        Stage::ScanFallback
-    }
 }
 
 /// Score of a query cell: own hits plus parent hits (§3.6 "the score of a
@@ -179,17 +169,19 @@ fn score_of(hits: &FxHashMap<u64, u64>, cell: CellId) -> u64 {
 }
 
 /// Build a fresh AggregateTrie from hit statistics: sort candidate cells
-/// by (score desc, level asc, key asc) and insert until `budget` bytes are
-/// filled (§3.6 "Determining Relevant Aggregates"). Each record is a copy
-/// of `GeoBlock::cell_record`. Deterministic for a given hit map, so the
-/// same statistics always rebuild the same cache.
+/// by (score desc, level asc, key asc) and insert until `budget` bytes of
+/// Figure 7's layout are filled (§3.6 "Determining Relevant Aggregates").
+/// The trie is rooted at the block's current [`root_cell_of`], so cells
+/// that updates added outside the previous root become cacheable. Each
+/// record is a copy of `GeoBlock::cell_record`. Deterministic for a given
+/// block and hit map, so the same statistics always rebuild the same
+/// cache.
 pub(crate) fn rebuild_trie(
     block: &GeoBlock,
-    root_cell: CellId,
     budget: usize,
     hits: &FxHashMap<u64, u64>,
 ) -> AggregateTrie {
-    let mut trie = AggregateTrie::new(root_cell, block.schema().len());
+    let mut trie = TrieBuilder::new(root_cell_of(block), block.schema().len());
 
     let mut candidates: Vec<(u64, u8, u64)> = hits
         .keys()
@@ -211,13 +203,11 @@ pub(crate) fn rebuild_trie(
             // relevance until the space is exhausted).
             break;
         }
-        // Empty cells are cached too (`None` ⇒ a count-0 record): it
-        // answers "no data here" without touching the aggregates, and
-        // Figure 18's cache hit rate reaching 100 % requires every queried
-        // cell to become cacheable.
-        trie.insert_record(cell, block.cell_record(cell));
+        trie.insert(cell);
     }
-    // Rebuilds are publish points: hand readers the hot lane.
-    trie.build_flat_index();
-    trie
+    // Empty cells are cached too (`None` ⇒ a count-0 record): it answers
+    // "no data here" without touching the aggregates, and Figure 18's
+    // cache hit rate reaching 100 % requires every queried cell to become
+    // cacheable.
+    trie.finish(|cell| block.cell_record(cell))
 }

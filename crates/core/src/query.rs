@@ -7,15 +7,19 @@
 //! header, and each covering cell is answered by one of two tiers:
 //!
 //! 1. **Pyramid lookup** — every covering cell is grid-aligned, so a cell
-//!    coarser than the block level is answered by one cursor-resumed
-//!    binary search in its pyramid layer and **one** record combine
+//!    coarser than the block level is answered by one cursor-resumed seek
+//!    ([`crate::table`]) in its pyramid layer and **one** record combine
 //!    (`cells_combined` ≤ covering size). Pyramid records are in-order
 //!    folds of the block records they cover, so this tier is bit-identical
 //!    to the range scan it replaces.
 //! 2. **Range scan** — the seed algorithm of Listing 1 (one forward scan
-//!    per covering cell, cursor-resumed): it answers block-level covering
-//!    cells, where the run is at most one record, and it is the reference
-//!    the pyramid tier is tested against ([`GeoBlock::select_scan`]).
+//!    per covering cell, cursor-resumed by the same seek over the block's
+//!    keys): it answers block-level covering cells, where the run is at
+//!    most one record, and it is the reference the pyramid tier is tested
+//!    against ([`GeoBlock::select_scan`]).
+//!
+//! Every record, whichever tier reads it, is folded by the one
+//! [`crate::table::CellRecord::combine_into`].
 //!
 //! * [`GeoBlock::select`] — the production tiered variant.
 //! * [`GeoBlock::select_scan`] — tier 2 only; the `select_ablation` /
@@ -23,7 +27,8 @@
 //! * [`GeoBlock::select_listing1`] — the paper's pseudocode, literally:
 //!   every covering cell is first expanded to block-level child cells, each
 //!   child is looked up via upper-bound binary search or the successor
-//!   check. Kept as an ablation target (`select_ablation` bench).
+//!   check. Kept as an ablation target (`select_ablation` bench), with
+//!   its literal upper-bound binary search.
 //! * [`GeoBlock::count`] — Listing 2 over the maintained count prefix:
 //!   `prefix[last + 1] − prefix[first]` per covering cell. Unlike the
 //!   stored base-data offsets, the prefix is rebuilt by updates, so COUNT
@@ -31,9 +36,11 @@
 
 use crate::aggregate::{AggPlan, AggResult};
 use crate::block::GeoBlock;
+use crate::table::seek;
 use gb_cell::{cover_polygon, CellId, CellUnion, CovererOptions, MAX_LEVEL};
 use gb_data::AggSpec;
 use gb_geom::Polygon;
+use gb_trace::{Stage, StageAcc};
 
 /// Counters describing one query execution.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -46,9 +53,9 @@ pub struct QueryStats {
     pub searches: usize,
 }
 
-/// Per-level resume positions for the cursor-resumed searches: covering
+/// Per-level resume positions for the cursor-resumed seeks: covering
 /// cells ascend in curve order, so within each pyramid layer (and within
-/// the block-level records) every search can start where the previous one
+/// the block-level records) every seek can start where the previous one
 /// of that level ended.
 pub(crate) struct Cursors {
     /// Resume position in the block-level record arrays.
@@ -115,6 +122,7 @@ impl GeoBlock {
         let mut scratch = AggResult::new(spec);
         let mut stats = QueryStats::default();
         let mut cursors = Cursors::new();
+        let mut untraced = StageAcc::inactive();
 
         for qcell in covering.iter() {
             // Header pre-check (Listing 1 lines 5–6): skip cells outside
@@ -132,6 +140,7 @@ impl GeoBlock {
                     &mut result,
                     &mut stats,
                     &mut cursors,
+                    &mut untraced,
                 );
             } else {
                 self.scan_covering_cell(
@@ -149,8 +158,10 @@ impl GeoBlock {
     }
 
     /// Fold one covering cell into `result`: a pyramid lookup for a cell
-    /// coarser than the block level, a range scan otherwise. Shared by the
-    /// plain SELECT path and the cache-adapted path in [`crate::qc`].
+    /// coarser than the block level, a range scan otherwise, timed under
+    /// the tracing stage of the tier it picks (`acc` only observes).
+    /// Shared by the plain SELECT path and the cache-adapted path in
+    /// [`crate::qc`].
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn combine_covering_cell(
         &self,
@@ -161,32 +172,25 @@ impl GeoBlock {
         result: &mut AggResult,
         stats: &mut QueryStats,
         cursors: &mut Cursors,
+        acc: &mut StageAcc,
     ) {
         let level = qcell.level();
         let Some(layer) = self.pyramid.layer(level) else {
             // Block-level cell: the run is at most one record.
-            self.scan_covering_cell(qcell, spec, plan, scratch, result, stats, cursors);
+            acc.time(Stage::ScanFallback, || {
+                self.scan_covering_cell(qcell, spec, plan, scratch, result, stats, cursors);
+            });
             return;
         };
-        let c = self.n_cols();
-        let from = cursors.levels[level as usize];
-        stats.searches += 1;
-        let i = from + layer.keys[from..].partition_point(|&k| k < qcell.raw());
-        if i < layer.keys.len() && layer.keys[i] == qcell.raw() {
-            let base = i * c;
-            result.combine_record_plan(
-                plan,
-                layer.counts[i],
-                &layer.mins[base..base + c],
-                &layer.maxs[base..base + c],
-                &layer.sums[base..base + c],
-            );
-            stats.cells_combined += 1;
-            cursors.levels[level as usize] = i + 1;
-        } else {
+        acc.time(Stage::PyramidCombine, || {
+            stats.searches += 1;
             // No record ⇒ no data under this covering cell.
-            cursors.levels[level as usize] = i;
-        }
+            if let Some(record) = layer.find_from(&mut cursors.levels[level as usize], qcell.raw())
+            {
+                record.combine_into(plan, result);
+                stats.cells_combined += 1;
+            }
+        });
     }
 
     /// The range-scan tier: fold `qcell`'s record run into a fresh scratch
@@ -223,18 +227,10 @@ impl GeoBlock {
     ) -> usize {
         let lo_key = qcell.range_min().raw();
         let hi_key = qcell.range_max().raw();
-        let mut i = self.lower_bound_from(lo_key, cursor);
+        let mut i = seek(&self.keys, cursor, lo_key);
         stats.searches += 1;
-        let c = self.n_cols();
         while i < self.keys.len() && self.keys[i] <= hi_key {
-            let base = i * c;
-            result.combine_record_plan(
-                plan,
-                u64::from(self.counts[i]),
-                &self.mins[base..base + c],
-                &self.maxs[base..base + c],
-                &self.sums[base..base + c],
-            );
+            self.record(i).combine_into(plan, result);
             stats.cells_combined += 1;
             i += 1;
         }
@@ -252,19 +248,11 @@ impl GeoBlock {
     pub fn select_listing1(&self, polygon: &Polygon, spec: &AggSpec) -> (AggResult, QueryStats) {
         let covering = self.cover(polygon);
         let plan = AggPlan::compile(spec);
-        let c = self.n_cols();
         let mut result = AggResult::new(spec);
         let mut stats = QueryStats::default();
         let mut last_agg: Option<usize> = None;
         let combine = |idx: usize, result: &mut AggResult| {
-            let base = idx * c;
-            result.combine_record_plan(
-                &plan,
-                u64::from(self.counts[idx]),
-                &self.mins[base..base + c],
-                &self.maxs[base..base + c],
-                &self.sums[base..base + c],
-            );
+            self.record(idx).combine_into(&plan, result);
         };
 
         for qcell in covering.iter() {
@@ -290,7 +278,7 @@ impl GeoBlock {
                         // Lines 19–24: upper-bound binary search, then the
                         // predecessor is the candidate aggregate.
                         stats.searches += 1;
-                        let ub = self.upper_bound_from(key, 0);
+                        let ub = self.keys.partition_point(|&k| k <= key);
                         if ub > 0 && self.keys[ub - 1] == key {
                             combine(ub - 1, &mut result);
                             stats.cells_combined += 1;
@@ -331,12 +319,13 @@ impl GeoBlock {
             let hi_key = qcell.range_max().raw();
 
             stats.searches += 2;
-            let first = self.lower_bound_from(lo_key, cursor);
+            let first = seek(&self.keys, cursor, lo_key);
             if first == self.keys.len() || self.keys[first] > hi_key {
                 cursor = first;
                 continue; // no aggregates inside this covering cell
             }
-            let end = self.upper_bound_from(hi_key, first);
+            // Raw ids stay below 2^61, so `hi_key + 1` cannot overflow.
+            let end = seek(&self.keys, first, hi_key + 1);
             cursor = end;
 
             // Line 11, over the maintained prefix:

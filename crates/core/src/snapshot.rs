@@ -23,7 +23,7 @@
 //! | `HDRS` | level, `dirty_offsets`, `n_rows`, min/max cell, global min/max/sum, **block content hash**, **state hash** |
 //! | `CELL` | keys, offsets, counts, leaf-key min/max, per-cell min/max/sum |
 //! | `PYRA` | (optional, v2) section format byte, then per layer: level, keys, counts, min/max/sum |
-//! | `TRIE` | (optional) root cell, node arrays, cached records |
+//! | `TRIE` | (optional) root cell, Figure-7 node arrays in canonical order, cached records |
 //! | `HITS` | (optional) hit-statistic key/count pairs |
 //! | `HOTQ` | (optional) hot-query shapes: count + encoded request bytes |
 //!
@@ -46,7 +46,8 @@
 
 use crate::block::GeoBlock;
 use crate::pyramid::AggPyramid;
-use crate::trie::AggregateTrie;
+use crate::table::CellTable;
+use crate::trie::{AggregateTrie, TrieParts};
 use gb_cell::{CellId, CurveKind, Grid};
 use gb_common::FxHashMap;
 use gb_data::{ColumnDef, ColumnType, Schema};
@@ -93,9 +94,12 @@ const PYRA_FORMAT: u8 = 1;
 /// `pyramid` is the pyramid **as serialized** (`None` for files without a
 /// `PYRA` section): a `None` contributes nothing to the hash stream, which
 /// keeps the digest of v1 files byte-for-byte what the v1 writer stored.
+/// Likewise `trie` is the digest of the `TRIE` parts as stored
+/// ([`TrieParts::content_hash`]), so a file whose node arrays follow an
+/// older writer's insertion order still verifies.
 fn state_hash(
     block: &GeoBlock,
-    trie: Option<&AggregateTrie>,
+    trie: Option<u64>,
     hits: Option<&FxHashMap<u64, u64>>,
     pyramid: Option<&AggPyramid>,
     hot_queries: Option<&[(u64, Vec<u8>)]>,
@@ -115,9 +119,9 @@ fn state_hash(
     }
     match trie {
         None => false.hash(&mut h),
-        Some(t) => {
+        Some(digest) => {
             true.hash(&mut h);
-            t.content_hash().hash(&mut h);
+            digest.hash(&mut h);
         }
     }
     match hits {
@@ -215,6 +219,7 @@ impl SnapshotRef<'_> {
     fn encode(self, include_pyramid: bool, version: u16) -> Vec<u8> {
         let b = self.block;
         let pyramid = include_pyramid.then(|| b.pyramid());
+        let trie = self.trie.map(AggregateTrie::to_parts);
         let mut out = SnapshotWriter::new();
 
         let mut w = ByteWriter::new();
@@ -252,7 +257,7 @@ impl SnapshotRef<'_> {
         w.u64(b.content_hash());
         w.u64(state_hash(
             b,
-            self.trie,
+            trie.as_ref().map(TrieParts::content_hash),
             self.hits,
             pyramid,
             self.hot_queries,
@@ -275,8 +280,8 @@ impl SnapshotRef<'_> {
             w.u8(PYRA_FORMAT);
             w.len_u32(pyramid.n_cols);
             w.len_u32(pyramid.levels.len());
-            for layer in &pyramid.levels {
-                w.u8(layer.level);
+            for (level, layer) in pyramid.levels.iter().enumerate() {
+                w.u8(u8::try_from(level).unwrap_or(u8::MAX));
                 w.u64_slice(&layer.keys);
                 w.u64_slice(&layer.counts);
                 w.f64_slice(&layer.mins);
@@ -286,15 +291,14 @@ impl SnapshotRef<'_> {
             out.section(TAG_PYRAMID, w.into_inner());
         }
 
-        if let Some(trie) = self.trie {
-            let parts = trie.to_raw_parts();
+        if let Some(parts) = &trie {
             let mut w = ByteWriter::new();
             w.u64(parts.root_cell.raw());
             w.len_u32(parts.n_cols);
             w.u32_slice(&parts.first_children);
             w.u32_slice(&parts.aggs);
-            w.u64_slice(parts.agg_counts);
-            w.f64_slice(parts.agg_values);
+            w.u64_slice(&parts.agg_counts);
+            w.f64_slice(&parts.agg_values);
             out.section(TAG_TRIE, w.into_inner());
         }
 
@@ -463,9 +467,15 @@ impl Snapshot {
                     )));
                 }
                 let mut levels = Vec::with_capacity(n_levels);
-                for _ in 0..n_levels {
-                    levels.push(crate::pyramid::PyramidLevel {
-                        level: r.u8()?,
+                for l in 0..n_levels {
+                    let level = r.u8()?;
+                    if usize::from(level) != l {
+                        return Err(SnapshotError::corrupt(format!(
+                            "pyramid layer {l} labeled level {level}"
+                        )));
+                    }
+                    levels.push(CellTable {
+                        n_cols,
                         keys: r.u64_vec()?,
                         counts: r.u64_vec()?,
                         mins: r.f64_vec()?,
@@ -502,16 +512,17 @@ impl Snapshot {
                         block.schema.len()
                     )));
                 }
-                let trie = AggregateTrie::from_raw_parts(
+                let parts = TrieParts {
                     root_cell,
-                    trie_cols,
+                    n_cols: trie_cols,
                     first_children,
                     aggs,
                     agg_counts,
                     agg_values,
-                )
-                .map_err(|e| SnapshotError::corrupt(format!("trie: {e}")))?;
-                Some(trie)
+                };
+                let trie = AggregateTrie::from_parts(&parts)
+                    .map_err(|e| SnapshotError::corrupt(format!("trie: {e}")))?;
+                Some((trie, parts.content_hash()))
             }
         };
 
@@ -574,7 +585,7 @@ impl Snapshot {
         // so v1 digests verify unchanged.)
         let actual_state = state_hash(
             &block,
-            trie.as_ref(),
+            trie.as_ref().map(|&(_, digest)| digest),
             hits.as_ref(),
             stored_pyramid.as_ref(),
             hot_queries.as_deref(),
@@ -594,7 +605,7 @@ impl Snapshot {
         }
         Ok(Snapshot {
             block,
-            trie,
+            trie: trie.map(|(trie, _)| trie),
             hits,
             hot_queries,
         })
@@ -789,6 +800,117 @@ mod tests {
         let err = Snapshot::from_bytes(&grafted).unwrap_err();
         assert!(matches!(err, SnapshotError::Corrupt { .. }), "{err}");
         assert!(err.to_string().contains("state hash"), "{err}");
+    }
+
+    /// A version-2 file whose `TRIE` node arrays follow cache insertion
+    /// (score) order, written by the previous writer (commit bf8f870,
+    /// before the canonical layout) from 160 scattered rows (LCG seed
+    /// 2021, values `i × 0.5 − 7`) at level 5 with threshold 0.5, after
+    /// three rounds of [`fixture_polygons`] traffic and rebuilds. It
+    /// carries `TRIE`, `HITS` and `HOTQ` sections.
+    const INSERTION_ORDER_V2: &[u8] = include_bytes!("../tests/fixtures/insertion_order_v2.gbsnap");
+
+    fn fixture_polygons() -> Vec<gb_geom::Polygon> {
+        let diamond = |cx: f64, cy: f64, r: f64| {
+            gb_geom::Polygon::new(vec![
+                Point::new(cx, cy - r),
+                Point::new(cx + r, cy),
+                Point::new(cx, cy + r),
+                Point::new(cx - r, cy),
+            ])
+        };
+        vec![
+            diamond(30.0, 30.0, 18.0),
+            diamond(70.0, 40.0, 14.0),
+            diamond(45.0, 75.0, 20.0),
+            diamond(50.0, 50.0, 35.0),
+        ]
+    }
+
+    #[test]
+    fn insertion_ordered_trie_file_loads_exact_and_warm() {
+        let snap = Snapshot::from_bytes(INSERTION_ORDER_V2).expect("state hash verifies");
+        assert!(snap.hits.is_some() && snap.hot_queries.is_some());
+        let trie = snap.trie.as_ref().expect("TRIE section");
+        assert!(trie.num_cached() > 0);
+
+        // The stored node order is not the canonical one, so this file
+        // exercises the decoder on a layout the encoder never writes.
+        let stored = SnapshotReader::from_bytes(INSERTION_ORDER_V2, SNAPSHOT_VERSION).unwrap();
+        let resaved = snap.to_bytes();
+        let canonical = SnapshotReader::from_bytes(&resaved, SNAPSHOT_VERSION).unwrap();
+        assert_ne!(
+            stored.require(TAG_TRIE).unwrap(),
+            canonical.require(TAG_TRIE).unwrap()
+        );
+        let back = Snapshot::from_bytes(&resaved).unwrap().trie.unwrap();
+        assert_eq!(back.content_hash(), trie.content_hash());
+
+        // Every cached record is the loaded block's canonical record.
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for cell in trie.cells() {
+            let got = trie.get(cell).unwrap();
+            match snap.block.cell_record(cell) {
+                Some(want) => {
+                    assert_eq!(got.count, want.count, "{cell:?}");
+                    assert_eq!(bits(got.mins), bits(want.mins), "{cell:?}");
+                    assert_eq!(bits(got.maxs), bits(want.maxs), "{cell:?}");
+                    assert_eq!(bits(got.sums), bits(want.sums), "{cell:?}");
+                }
+                None => assert_eq!(got.count, 0, "{cell:?}"),
+            }
+        }
+
+        // The warm engine answers bit-identically to the range scan.
+        let dir = std::env::temp_dir().join("gb_snapshot_fixture_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("insertion_order_v2.gbsnap");
+        std::fs::write(&path, INSERTION_ORDER_V2).unwrap();
+        let engine = crate::GeoBlockEngine::from_snapshot(&path, 0.5).unwrap();
+        let _ = std::fs::remove_file(&path);
+        let spec = gb_data::AggSpec::k_aggregates(snap.block.schema(), 4);
+        for poly in fixture_polygons() {
+            let warm = engine.select(&poly, &spec).result;
+            let (scan, _) = snap.block.select_scan(&poly, &spec);
+            assert!(warm.approx_eq(&scan, 0.0), "{warm:?} vs {scan:?}");
+        }
+        assert!(engine.metrics().direct_hits > 0, "restored cache is cold");
+    }
+
+    #[test]
+    fn trie_bytes_do_not_depend_on_insertion_order() {
+        let b = block(1200, 7);
+        let root = crate::qc::root_cell_of(&b);
+        let cells: Vec<CellId> = (0..b.num_cells())
+            .step_by(37)
+            .flat_map(|i| {
+                let cell = b.cell_at(i);
+                [cell, cell.parent_at(3), cell.parent_at(5)]
+            })
+            .filter(|&cell| root.contains(cell))
+            .collect();
+        let bytes_in = |order: &mut dyn Iterator<Item = &CellId>| {
+            let mut trie = AggregateTrie::new(root, b.schema().len());
+            for &cell in order {
+                trie.insert_record(cell, b.cell_record(cell));
+            }
+            let hash = trie.content_hash();
+            let snap = Snapshot {
+                block: b.clone(),
+                trie: Some(trie),
+                hits: None,
+                hot_queries: None,
+            };
+            let bytes = snap.to_bytes();
+            let reader = SnapshotReader::from_bytes(&bytes, SNAPSHOT_VERSION).unwrap();
+            (reader.require(TAG_TRIE).unwrap().to_vec(), hash)
+        };
+        let forward = bytes_in(&mut cells.iter());
+        let backward = bytes_in(&mut cells.iter().rev());
+        assert!(
+            forward == backward,
+            "TRIE bytes or digest follow insertion order"
+        );
     }
 
     #[test]

@@ -1,38 +1,31 @@
 //! The AggregateTrie: the query-driven aggregate cache (§3.6, Figure 7).
 //!
-//! A trie over cell ids where each trie level encodes exactly one cell
-//! level (fanout 4). Nodes are two 32-bit offsets — a pointer to the first
-//! of four contiguously-allocated children, and a pointer to the node's
-//! cached aggregate record — exactly the paper's compact in-place encoding:
-//! "Nodes consist of just two 32-bit integers. […] Since we store only the
-//! offset to the first child, we need to always allocate space for all
-//! children in a node."
+//! The cache holds one aggregate record (count plus per-column
+//! min/max/sum) per cached cell, for cells of any level below its root —
+//! the smallest cell enclosing the GeoBlock's data ("typically just a
+//! small fraction of the possible earth-wide input space"). In memory the
+//! trie *is* its cell set: one `CellTable` sorted by raw id, the layout
+//! every pyramid layer uses too. Raw order is curve order, so a
+//! covering's ascending probe stream sweeps the table monotonically and
+//! a [`FlatCursor`] resolves each probe with a short forward scan — the
+//! same seek the pyramid layers and the block's records use.
 //!
-//! The root corresponds to the smallest cell enclosing the GeoBlock's data
-//! ("typically just a small fraction of the possible earth-wide input
-//! space"). Aggregate records are `count` plus per-column min/max/sum.
-//!
-//! **Read-side hot lane.** The node encoding is write-compact but the
-//! per-cell [`AggregateTrie::node_for`] walk chases one pointer per
-//! level — a dependent-load chain that dominates covering-sized probe
-//! loops. Because every allocated node corresponds to exactly one cell
-//! id, the trie also carries a *derived* read-side layout, built once at
-//! publish time ([`AggregateTrie::build_flat_index`]): the raw ids of the
-//! cells that carry a cached record, sorted ascending (raw order *is*
-//! space-filling-curve order, so a covering's probe stream sweeps it
-//! monotonically), with the record offset stored alongside. A
-//! [`FlatCursor`] resolves each probe with a short forward scan from the
-//! previous match: a cached hit costs ~one compare and never touches the
-//! node array, and a cell absent from the lane is simply not cached. The
-//! lane is pure acceleration state: cleared by structural mutation
-//! ([`AggregateTrie::insert`]), preserved by in-place record rewrites
-//! (which never reassign record offsets), excluded from
-//! [`AggregateTrie::content_hash`] and the snapshot encoding, and not
-//! counted by [`AggregateTrie::size_bytes`] (the Figure-18 budget
-//! bounds the paper's node + record layout; the lane is reconstructible
-//! from it). Lookups fall back to the walk whenever the lane is stale,
-//! so the two paths are interchangeable — and a proptest holds them
-//! equal.
+//! **The paper's layout is arithmetic.** Figure 7 encodes the trie as
+//! nodes of two 32-bit offsets, allocating the four children of a node
+//! together: "Since we store only the offset to the first child, we need
+//! to always allocate space for all children in a node." That layout is
+//! a function of the cell set: a cell below the root owns a child quartet
+//! exactly when some cached cell lies strictly below it. So the Figure-18
+//! byte budget is computed, not stored — [`AggregateTrie::size_bytes`] is
+//! 8 × (1 + 4 × quartets) + records × record bytes. The one place that
+//! prices and counts quartets is `TrieBuilder`, which keeps the quartet
+//! set only while a trie is built: a budgeted rebuild uses it, so it
+//! picks exactly the cells the paper's allocator would, and
+//! [`AggregateTrie::insertion_cost`] / [`AggregateTrie::insert`] go
+//! through a builder seeded with the cached cells. The snapshot `TRIE` section keeps the node arrays:
+//! the encoder lays them out from the sorted table in one canonical
+//! order (cells inserted in ascending raw order), and the decoder
+//! validates a stored layout and collects its `(cell, record)` pairs.
 //!
 //! **Records are copies.** The engine fills every cached record from the
 //! block's canonical fold (`GeoBlock::cell_record`: a pyramid layer
@@ -44,179 +37,155 @@
 //! adds each new tuple to the cached sums and so reassociates them — is
 //! kept as the paper-literal variant; no engine path calls it.
 
-use crate::block::CellRecord;
+use crate::table::{seek, CellRecord, CellTable, FlatCursor};
 use gb_cell::{CellId, MAX_LEVEL};
+use gb_common::FxHashSet;
 
-/// Sentinel: no child block. Index 0 is always the root, so 0 is free.
+/// Figure 7 sentinel: no child quartet. Index 0 is always the root.
 const NO_CHILD: u32 = 0;
-/// Sentinel: no cached aggregate.
+/// Figure 7 sentinel: no cached aggregate.
 const NO_AGG: u32 = u32::MAX;
+/// Bytes of one Figure-7 node: two 32-bit offsets.
+const NODE_BYTES: usize = 8;
 
-/// One trie node: Figure 7's `(child offset, aggregate offset)` pair.
-#[derive(Debug, Clone, Copy, Default)]
-struct TrieNode {
-    first_child: u32,
-    agg: u32,
+/// Bytes of one cached record: count + 3 × `n_cols` values.
+fn record_bytes(n_cols: usize) -> usize {
+    8 + 24 * n_cols
 }
 
-/// Flat, borrow-friendly view of a trie for the snapshot encoder.
-pub(crate) struct TrieRawParts<'a> {
+/// The Figure-7 footprint of `records` cached cells whose layout holds
+/// `quartets` child quartets: the root node, four nodes per quartet, and
+/// the record storage.
+fn layout_bytes(quartets: usize, records: usize, n_cols: usize) -> usize {
+    NODE_BYTES * (1 + 4 * quartets) + records * record_bytes(n_cols)
+}
+
+/// The `TRIE` snapshot section: Figure 7's node arrays (per node, the
+/// offset of its first child and of its record) plus the records, each
+/// stored as count and `mins ‖ maxs ‖ sums`.
+pub(crate) struct TrieParts {
     pub root_cell: CellId,
     pub n_cols: usize,
     pub first_children: Vec<u32>,
     pub aggs: Vec<u32>,
-    pub agg_counts: &'a [u64],
-    pub agg_values: &'a [f64],
+    pub agg_counts: Vec<u64>,
+    pub agg_values: Vec<f64>,
 }
 
-/// How far a [`FlatCursor`] scans forward from its last position before
-/// giving up and binary-searching. Covering probes arrive in ascending
-/// raw order with small gaps, so a one-cache-line window catches nearly
-/// every probe.
-const FLAT_WINDOW: usize = 8;
+impl TrieParts {
+    /// Digest of the parts as stored (floats by bit pattern), fed in the
+    /// order the snapshot state hash has always used, so files written
+    /// with any node order verify.
+    pub(crate) fn content_hash(&self) -> u64 {
+        use std::hash::{Hash, Hasher};
+        let mut h = gb_common::FxHasher::default();
+        self.root_cell.raw().hash(&mut h);
+        self.n_cols.hash(&mut h);
+        for (first_child, agg) in self.first_children.iter().zip(&self.aggs) {
+            first_child.hash(&mut h);
+            agg.hash(&mut h);
+        }
+        self.agg_counts.hash(&mut h);
+        for v in &self.agg_values {
+            v.to_bits().hash(&mut h);
+        }
+        h.finish()
+    }
+}
 
-/// The trie-shaped aggregate cache.
+/// The trie-shaped aggregate cache (see the module docs).
 #[derive(Debug, Clone)]
 pub struct AggregateTrie {
     root_cell: CellId,
-    nodes: Vec<TrieNode>,
+    /// One record per cached cell, sorted by raw id.
+    table: CellTable,
+    /// Cells with a Figure-7 child quartet: those with a cached cell
+    /// strictly below them.
+    quartets: usize,
+}
+
+/// A trie under construction. It keeps the set of cells that own a
+/// child quartet, so each insertion is priced exactly as the paper's
+/// allocator would price it; [`TrieBuilder::finish`] drops the set and
+/// sorts the chosen cells into the trie's table.
+pub(crate) struct TrieBuilder {
+    root_cell: CellId,
     n_cols: usize,
-    /// Cached record counts (one per cached cell).
-    agg_counts: Vec<u64>,
-    /// Cached record payload, stride `3 × n_cols`: mins, then maxs, then
-    /// sums (column-indexed within each third).
-    agg_values: Vec<f64>,
-    /// The hot lane: the raw ids of the cells whose node carries a
-    /// cached aggregate, sorted ascending, with the record offset
-    /// (`TrieNode::agg`) aligned index-for-index in `hot_aggs`. Raw order
-    /// is curve order, so a covering's sorted probe stream advances
-    /// through it monotonically. Record offsets stay valid across
-    /// in-place record rewrites, which never reassign them. Built ⇔ it
-    /// lists one entry per record (a stale lane is empty while records
-    /// exist); stale ⇒ lookups walk.
-    hot_keys: Vec<u64>,
-    hot_aggs: Vec<u32>,
+    quartets: FxHashSet<u64>,
+    cells: Vec<u64>,
 }
 
-/// A stateful probe over the hot lane for ascending probe streams
-/// (covering cells arrive sorted by raw id): each lookup scans one small
-/// window forward from the previous match and only falls back to a full
-/// binary search when the stream jumps. Any probe order is correct —
-/// out-of-order probes just pay the binary search — and every answer
-/// equals [`AggregateTrie::node_for`] + [`AggregateTrie::agg_of`].
-#[derive(Debug)]
-pub struct FlatCursor<'a> {
-    trie: &'a AggregateTrie,
-    /// Borrowed lane columns — one pointer hop shorter than going
-    /// through `trie` on every probe.
-    keys: &'a [u64],
-    aggs: &'a [u32],
-    /// Whether the lane is current; if not, every lookup walks.
-    indexed: bool,
-    /// Position of the previous match in the lane.
-    pos: usize,
-}
-
-/// First index `i ≥ pos` (clamped) with `keys[i] >= raw`, assuming the
-/// probe stream is usually ascending: scan a short window forward from
-/// the previous match, binary-search the tail on a long forward jump,
-/// and restart with a full binary search if the stream moved backward.
-#[inline]
-fn lower_bound_from(keys: &[u64], pos: usize, raw: u64) -> usize {
-    // Resume forward only when the stream is still ascending past the
-    // previous position; a backward jump (new covering, out-of-order
-    // probe) or a position past the end restarts with a binary search.
-    let resumable = matches!(keys.get(pos), Some(&k) if k <= raw);
-    if !resumable {
-        return keys.partition_point(|&key| key < raw);
+impl TrieBuilder {
+    pub(crate) fn new(root_cell: CellId, n_cols: usize) -> TrieBuilder {
+        TrieBuilder {
+            root_cell,
+            n_cols,
+            quartets: FxHashSet::default(),
+            cells: Vec::new(),
+        }
     }
-    let mut i = pos;
-    let limit = keys.len().min(pos + FLAT_WINDOW);
-    loop {
-        match keys.get(i) {
-            Some(&k) if k < raw => {
-                i += 1;
-                if i >= limit {
-                    // Forward jump past the window: finish in the tail.
-                    let tail = keys.get(i..).unwrap_or_default();
-                    return i + tail.partition_point(|&key| key < raw);
-                }
+
+    /// A builder holding the cells of `trie`, to price or add more.
+    fn of(trie: &AggregateTrie) -> TrieBuilder {
+        let mut builder = TrieBuilder::new(trie.root_cell, trie.table.n_cols);
+        for cell in trie.cells() {
+            builder.insert(cell);
+        }
+        builder
+    }
+
+    /// [`AggregateTrie::size_bytes`] of the cells added so far.
+    pub(crate) fn size_bytes(&self) -> usize {
+        layout_bytes(self.quartets.len(), self.cells.len(), self.n_cols)
+    }
+
+    /// Bytes adding `cell` would add: the child quartets Figure 7
+    /// allocates on the way down to it (one per ancestor from the root on
+    /// that does not own one yet) plus the record. `None` outside the
+    /// root.
+    pub(crate) fn insertion_cost(&self, cell: CellId) -> Option<usize> {
+        let root = self.root_cell;
+        root.contains(cell).then(|| {
+            let missing = (root.level()..cell.level())
+                .filter(|&level| !self.quartets.contains(&cell.parent_at(level).raw()))
+                .count();
+            missing * 4 * NODE_BYTES + record_bytes(self.n_cols)
+        })
+    }
+
+    /// Add `cell`, which must lie inside the root and not be added yet.
+    pub(crate) fn insert(&mut self, cell: CellId) {
+        for level in (self.root_cell.level()..cell.level()).rev() {
+            if !self.quartets.insert(cell.parent_at(level).raw()) {
+                break; // this ancestor, and so every coarser one, has its quartet
             }
-            _ => return i,
         }
+        self.cells.push(cell.raw());
     }
-}
 
-impl<'a> FlatCursor<'a> {
-    /// The cached aggregate of `cell`, if the trie holds one — straight
-    /// from the hot lane (~one compare per probe on a sorted covering).
-    pub fn lookup(&mut self, cell: CellId) -> Option<CachedAgg<'a>> {
-        if !self.indexed {
-            // No lane published: the walk is the source of truth.
-            return self
-                .trie
-                .node_for(cell)
-                .and_then(|node| self.trie.agg_of(node));
+    /// The trie over the added cells, each record copied from
+    /// `record_of` (`None` caches the empty record).
+    pub(crate) fn finish<'r>(
+        mut self,
+        record_of: impl Fn(CellId) -> Option<CellRecord<'r>>,
+    ) -> AggregateTrie {
+        self.cells.sort_unstable();
+        let mut table = CellTable::with_capacity(self.n_cols, self.cells.len());
+        for &raw in &self.cells {
+            table.push(raw, record_of(CellId::from_raw(raw)));
         }
-        let raw = cell.raw();
-        let i = lower_bound_from(self.keys, self.pos, raw);
-        self.pos = i;
-        match (self.keys.get(i), self.aggs.get(i)) {
-            (Some(&key), Some(&agg)) if key == raw => Some(self.trie.agg_view(agg)),
-            _ => None,
+        AggregateTrie {
+            root_cell: self.root_cell,
+            table,
+            quartets: self.quartets.len(),
         }
-    }
-}
-
-/// A cached aggregate record view.
-#[derive(Debug, Clone, Copy)]
-pub struct CachedAgg<'a> {
-    pub count: u64,
-    mins: &'a [f64],
-    maxs: &'a [f64],
-    sums: &'a [f64],
-}
-
-impl CachedAgg<'_> {
-    /// Fold this cached record into `result` through a compiled plan —
-    /// the same single-record combine the pyramid path performs, so a
-    /// trie hit and a pyramid lookup of the same cell are bit-identical.
-    #[inline]
-    pub fn combine_into(&self, plan: &crate::aggregate::AggPlan, result: &mut crate::AggResult) {
-        result.combine_record_plan(plan, self.count, self.mins, self.maxs, self.sums);
-    }
-
-    #[inline]
-    pub fn min(&self, col: usize) -> f64 {
-        self.mins[col]
-    }
-
-    #[inline]
-    pub fn max(&self, col: usize) -> f64 {
-        self.maxs[col]
-    }
-
-    #[inline]
-    pub fn sum(&self, col: usize) -> f64 {
-        self.sums[col]
     }
 }
 
 impl AggregateTrie {
     /// An empty trie rooted at `root_cell` for `n_cols` columns.
     pub fn new(root_cell: CellId, n_cols: usize) -> Self {
-        AggregateTrie {
-            root_cell,
-            nodes: vec![TrieNode {
-                first_child: NO_CHILD,
-                agg: NO_AGG,
-            }],
-            n_cols,
-            agg_counts: Vec::new(),
-            agg_values: Vec::new(),
-            hot_keys: Vec::new(),
-            hot_aggs: Vec::new(),
-        }
+        TrieBuilder::new(root_cell, n_cols).finish(|_| None)
     }
 
     /// The cell the root node represents.
@@ -228,26 +197,32 @@ impl AggregateTrie {
     /// Number of cached aggregates.
     #[inline]
     pub fn num_cached(&self) -> usize {
-        self.agg_counts.len()
+        self.table.len()
     }
 
-    /// Number of allocated nodes (including the root and empty slots in
-    /// child blocks — the paper's encoding always allocates all four).
+    /// Number of Figure-7 nodes: the root plus four per child quartet
+    /// (the paper's encoding always allocates all four children).
     #[inline]
     pub fn num_nodes(&self) -> usize {
-        self.nodes.len()
+        1 + 4 * self.quartets
     }
 
     /// Bytes of one aggregate record: count + 3 × n_cols values.
     #[inline]
     pub fn record_bytes(&self) -> usize {
-        8 + 24 * self.n_cols
+        record_bytes(self.table.n_cols)
     }
 
-    /// Total cache footprint: 8 bytes per node + record storage — the
-    /// quantity bounded by the Figure-18 aggregate threshold.
+    /// Total cache footprint in Figure 7's layout: 8 bytes per node +
+    /// record storage — the quantity bounded by the Figure-18 aggregate
+    /// threshold.
     pub fn size_bytes(&self) -> usize {
-        self.nodes.len() * 8 + self.agg_counts.len() * self.record_bytes()
+        layout_bytes(self.quartets, self.table.len(), self.table.n_cols)
+    }
+
+    /// The cached cells, in ascending raw order.
+    pub fn cells(&self) -> impl Iterator<Item = CellId> + '_ {
+        self.table.keys.iter().map(|&raw| CellId::from_raw(raw))
     }
 
     /// A stateful probe for sorted probe streams — the covering loop's
@@ -255,120 +230,27 @@ impl AggregateTrie {
     /// ascending raw order, so consecutive lookups resolve from one
     /// forward cache-line scan instead of a full search).
     pub fn flat_cursor(&self) -> FlatCursor<'_> {
-        FlatCursor {
-            trie: self,
-            keys: &self.hot_keys,
-            aggs: &self.hot_aggs,
-            indexed: self.has_flat_index(),
-            pos: 0,
-        }
+        self.table.cursor()
     }
 
-    /// Index of the trie node for `cell`, if the path exists: the
-    /// per-level pointer walk, and the reference [`FlatCursor::lookup`]
-    /// is benchmarked and property-tested against.
-    pub fn node_for(&self, cell: CellId) -> Option<u32> {
-        if !self.root_cell.contains(cell) {
-            return None;
-        }
-        let mut cur = 0u32;
-        for level in (self.root_cell.level() + 1)..=cell.level() {
-            let first = self.nodes[cur as usize].first_child;
-            if first == NO_CHILD {
-                return None;
-            }
-            cur = first + u32::from(cell.child_position(level));
-        }
-        Some(cur)
+    /// The cached aggregate of `cell`, if any: one stand-alone probe.
+    pub fn get(&self, cell: CellId) -> Option<CellRecord<'_>> {
+        self.table.find_from(&mut 0, cell.raw())
     }
 
-    /// Whether the read-side hot lane is current.
-    #[inline]
-    pub fn has_flat_index(&self) -> bool {
-        self.hot_keys.len() == self.agg_counts.len()
-    }
-
-    /// Every `(cell raw id, record offset)` pair the walk can reach, in
-    /// no particular order: a DFS from the root that names each node by
-    /// its cell.
-    fn cached_cells(&self) -> Vec<(u64, u32)> {
-        let mut pairs = Vec::with_capacity(self.agg_counts.len());
-        let mut stack = vec![(0u32, self.root_cell)];
-        while let Some((node, cell)) = stack.pop() {
-            let Some(&TrieNode { first_child, agg }) = self.nodes.get(node as usize) else {
-                continue;
-            };
-            if agg != NO_AGG {
-                pairs.push((cell.raw(), agg));
-            }
-            if first_child != NO_CHILD && cell.level() < MAX_LEVEL {
-                for k in 0..4u8 {
-                    stack.push((first_child + u32::from(k), cell.child(k)));
-                }
-            }
-        }
-        pairs
-    }
-
-    /// (Re)build the read-side hot lane from the cached cells, sorted by
-    /// raw id. Called at publish time (trie rebuild, snapshot load) so
-    /// queries never pay the pointer walk.
-    pub fn build_flat_index(&mut self) {
-        let mut pairs = self.cached_cells();
-        pairs.sort_unstable_by_key(|&(raw, _)| raw);
-        self.hot_keys = pairs.iter().map(|&(raw, _)| raw).collect();
-        self.hot_aggs = pairs.iter().map(|&(_, agg)| agg).collect();
-    }
-
-    /// The cached aggregate of a node, if present.
-    pub fn agg_of(&self, node: u32) -> Option<CachedAgg<'_>> {
-        let idx = self.nodes[node as usize].agg;
-        (idx != NO_AGG).then(|| self.agg_view(idx))
-    }
-
-    fn agg_view(&self, idx: u32) -> CachedAgg<'_> {
-        let c = self.n_cols;
-        let base = idx as usize * 3 * c;
-        CachedAgg {
-            count: self.agg_counts[idx as usize],
-            mins: &self.agg_values[base..base + c],
-            maxs: &self.agg_values[base + c..base + 2 * c],
-            sums: &self.agg_values[base + 2 * c..base + 3 * c],
-        }
-    }
-
-    /// How many bytes inserting `cell` would add (missing child blocks plus
-    /// the aggregate record). Returns `None` for cells outside the root.
+    /// How many bytes inserting `cell` would add (missing child quartets
+    /// plus the aggregate record). Returns `None` for cells outside the
+    /// root. Prices through the same builder a budgeted rebuild uses.
     pub fn insertion_cost(&self, cell: CellId) -> Option<usize> {
-        if !self.root_cell.contains(cell) {
-            return None;
-        }
-        let mut missing_blocks = 0usize;
-        let mut cur = 0u32;
-        let mut detached = false;
-        for level in (self.root_cell.level() + 1)..=cell.level() {
-            if detached {
-                missing_blocks += 1;
-                continue;
-            }
-            let first = self.nodes[cur as usize].first_child;
-            if first == NO_CHILD {
-                missing_blocks += 1;
-                detached = true;
-            } else {
-                cur = first + u32::from(cell.child_position(level));
-            }
-        }
-        Some(missing_blocks * 4 * 8 + self.record_bytes())
+        TrieBuilder::of(self).insertion_cost(cell)
     }
 
     /// Insert (or overwrite) the cached aggregate for `cell`.
     ///
     /// `mins`/`maxs`/`sums` must each have `n_cols` entries.
     pub fn insert(&mut self, cell: CellId, count: u64, mins: &[f64], maxs: &[f64], sums: &[f64]) {
-        assert_eq!(mins.len(), self.n_cols);
-        assert_eq!(maxs.len(), self.n_cols);
-        assert_eq!(sums.len(), self.n_cols);
+        let n_cols = self.table.n_cols;
+        assert!(mins.len() == n_cols && maxs.len() == n_cols && sums.len() == n_cols);
         let record = CellRecord {
             count,
             mins,
@@ -380,125 +262,85 @@ impl AggregateTrie {
 
     /// Insert (or overwrite) `cell` with a copy of `record`; `None` caches
     /// the empty record (count 0), which answers "no data here" without
-    /// touching the block.
+    /// touching the block. A new cell rebuilds the trie through
+    /// `TrieBuilder`, the one Figure-7 accounting.
     pub(crate) fn insert_record(&mut self, cell: CellId, record: Option<CellRecord<'_>>) {
         assert!(self.root_cell.contains(cell), "cell outside trie root");
-
-        // Structural mutation may allocate nodes and records; drop the
-        // derived lane and let the publisher rebuild it once after the
-        // batch.
-        self.hot_keys.clear();
-        self.hot_aggs.clear();
-
-        let mut cur = 0u32;
-        for level in (self.root_cell.level() + 1)..=cell.level() {
-            let first = self.nodes[cur as usize].first_child;
-            let first = if first == NO_CHILD {
-                let new_first = self.nodes.len() as u32;
-                self.nodes.extend(
-                    [TrieNode {
-                        first_child: NO_CHILD,
-                        agg: NO_AGG,
-                    }; 4],
-                );
-                self.nodes[cur as usize].first_child = new_first;
-                new_first
-            } else {
-                first
-            };
-            cur = first + u32::from(cell.child_position(level));
+        let i = seek(&self.table.keys, 0, cell.raw());
+        if self.table.keys.get(i) == Some(&cell.raw()) {
+            self.table.write(i, record);
+            return;
         }
-
-        let node = &mut self.nodes[cur as usize];
-        if node.agg == NO_AGG {
-            node.agg = self.agg_counts.len() as u32;
-            self.agg_counts.push(0);
-            self.agg_values
-                .resize(self.agg_values.len() + 3 * self.n_cols, 0.0);
-        }
-        let idx = node.agg;
-        self.write_record(idx, record);
+        let mut builder = TrieBuilder::of(self);
+        builder.insert(cell);
+        *self = builder.finish(|c| if c == cell { record } else { self.get(c) });
     }
 
     /// Re-copy every cached record from `record_of` (the block's
-    /// canonical fold) in place. Structure and record offsets stay as
-    /// they are, so the hot lane stays current.
+    /// canonical fold) in place.
     pub(crate) fn refresh_records<'r>(
         &mut self,
         record_of: impl Fn(CellId) -> Option<CellRecord<'r>>,
     ) {
-        for (raw, agg) in self.cached_cells() {
-            self.write_record(agg, record_of(CellId::from_raw(raw)));
+        for i in 0..self.table.len() {
+            let cell = CellId::from_raw(self.table.keys[i]);
+            self.table.write(i, record_of(cell));
         }
     }
 
-    /// Overwrite record `idx` with `record`, or with the empty record.
-    fn write_record(&mut self, idx: u32, record: Option<CellRecord<'_>>) {
-        let c = self.n_cols;
-        let idx = idx as usize;
-        let base = idx * 3 * c;
-        let (mins, rest) = self.agg_values[base..base + 3 * c].split_at_mut(c);
-        let (maxs, sums) = rest.split_at_mut(c);
-        self.agg_counts[idx] = match record {
-            Some(r) => {
-                mins.copy_from_slice(r.mins);
-                maxs.copy_from_slice(r.maxs);
-                sums.copy_from_slice(r.sums);
-                r.count
-            }
-            None => {
-                mins.fill(f64::INFINITY);
-                maxs.fill(f64::NEG_INFINITY);
-                sums.fill(0.0);
-                0
-            }
-        };
-    }
-
-    /// A digest over the whole trie (structure + cached records, floats
-    /// by bit pattern) — the cache-side counterpart of
-    /// [`crate::GeoBlock::content_hash`], used by the persistence
-    /// round-trip gate to prove a loaded cache is bit-identical.
+    /// A digest over the whole cache (root, Figure-7 layout, records;
+    /// floats by bit pattern) — the digest of its canonical `TRIE`
+    /// encoding, used by the persistence round-trip gate to prove a
+    /// loaded cache is bit-identical. It depends on the cached cells and
+    /// records only, not on the order they were inserted in.
     pub fn content_hash(&self) -> u64 {
-        use std::hash::{Hash, Hasher};
-        let mut h = gb_common::FxHasher::default();
-        self.root_cell.raw().hash(&mut h);
-        self.n_cols.hash(&mut h);
-        for n in &self.nodes {
-            n.first_child.hash(&mut h);
-            n.agg.hash(&mut h);
-        }
-        self.agg_counts.hash(&mut h);
-        for v in &self.agg_values {
-            v.to_bits().hash(&mut h);
-        }
-        h.finish()
+        self.to_parts().content_hash()
     }
 
-    /// Decompose into flat arrays for the snapshot encoder: per-node
-    /// `first_child` and `agg` offsets, plus the aggregate storage.
-    pub(crate) fn to_raw_parts(&self) -> TrieRawParts<'_> {
-        TrieRawParts {
+    /// The canonical `TRIE` encoding: the node arrays Figure 7's
+    /// allocator produces when the cells are inserted in ascending raw
+    /// order, record offsets equal to table positions.
+    pub(crate) fn to_parts(&self) -> TrieParts {
+        let t = &self.table;
+        let mut first_children = vec![NO_CHILD];
+        let mut aggs = vec![NO_AGG];
+        for (i, &raw) in t.keys.iter().enumerate() {
+            let cell = CellId::from_raw(raw);
+            let mut node = 0usize;
+            for level in (self.root_cell.level() + 1)..=cell.level() {
+                if first_children[node] == NO_CHILD {
+                    first_children[node] = first_children.len() as u32;
+                    first_children.extend([NO_CHILD; 4]);
+                    aggs.extend([NO_AGG; 4]);
+                }
+                node = first_children[node] as usize + usize::from(cell.child_position(level));
+            }
+            aggs[node] = i as u32;
+        }
+        let agg_values = (0..t.len())
+            .flat_map(|i| {
+                let r = t.record(i);
+                r.mins.iter().chain(r.maxs).chain(r.sums).copied()
+            })
+            .collect();
+        TrieParts {
             root_cell: self.root_cell,
-            n_cols: self.n_cols,
-            first_children: self.nodes.iter().map(|n| n.first_child).collect(),
-            aggs: self.nodes.iter().map(|n| n.agg).collect(),
-            agg_counts: &self.agg_counts,
-            agg_values: &self.agg_values,
+            n_cols: t.n_cols,
+            first_children,
+            aggs,
+            agg_counts: t.counts.clone(),
+            agg_values,
         }
     }
 
-    /// Rebuild a trie from flat arrays (the snapshot decoder), validating
-    /// the structure so corrupt input yields an error instead of
-    /// out-of-bounds panics at query time.
-    pub(crate) fn from_raw_parts(
-        root_cell: CellId,
-        n_cols: usize,
-        first_children: Vec<u32>,
-        aggs: Vec<u32>,
-        agg_counts: Vec<u64>,
-        agg_values: Vec<f64>,
-    ) -> Result<AggregateTrie, String> {
+    /// Decode a stored `TRIE` layout (any node order), validating it so
+    /// corrupt input yields an error instead of a panic: a depth-first
+    /// walk from the root must reach every node exactly once through
+    /// in-bounds, quartet-aligned child offsets, and name every record
+    /// exactly once.
+    pub(crate) fn from_parts(parts: &TrieParts) -> Result<AggregateTrie, String> {
+        let (root, c) = (parts.root_cell, parts.n_cols);
+        let (first_children, aggs) = (&parts.first_children, &parts.aggs);
         let n = first_children.len();
         if aggs.len() != n {
             return Err("trie node arrays disagree in length".into());
@@ -506,91 +348,130 @@ impl AggregateTrie {
         if n == 0 || !(n - 1).is_multiple_of(4) {
             return Err(format!("trie node count {n} is not 1 + 4k"));
         }
-        let n_aggs = agg_counts.len();
-        if agg_values.len() != n_aggs * 3 * n_cols {
+        let n_aggs = parts.agg_counts.len();
+        if parts.agg_values.len() != n_aggs * 3 * c {
             return Err(format!(
                 "trie aggregate storage must hold {} values, found {}",
-                n_aggs * 3 * n_cols,
-                agg_values.len()
+                n_aggs * 3 * c,
+                parts.agg_values.len()
             ));
         }
-        for (i, &fc) in first_children.iter().enumerate() {
-            if fc == NO_CHILD {
-                continue;
+        let mut reached = vec![false; n];
+        let mut named = vec![false; n_aggs];
+        let mut cells: Vec<(u64, usize)> = Vec::with_capacity(n_aggs);
+        let mut stack = vec![(0usize, root)];
+        while let Some((node, cell)) = stack.pop() {
+            match reached.get_mut(node) {
+                Some(seen) if !*seen => *seen = true,
+                _ => return Err(format!("trie node {node} is reached twice")),
             }
-            let fc = fc as usize;
-            // Child blocks are quartets appended after the root, so a
-            // valid pointer is 1 + 4m with the whole quartet in bounds.
-            if fc < 1 || !(fc - 1).is_multiple_of(4) || fc + 4 > n {
-                return Err(format!("trie node {i} has invalid child pointer {fc}"));
+            let agg = aggs[node];
+            if agg != NO_AGG {
+                match named.get_mut(agg as usize) {
+                    Some(seen) if !*seen => *seen = true,
+                    Some(_) => return Err(format!("trie record {agg} is named twice")),
+                    None => {
+                        return Err(format!(
+                            "trie node {node} points past the aggregate storage"
+                        ))
+                    }
+                }
+                cells.push((cell.raw(), agg as usize));
+            }
+            let first = first_children[node] as usize;
+            if first != NO_CHILD as usize {
+                // Child quartets are appended after the root, so a valid
+                // offset is 1 + 4m with the whole quartet in bounds.
+                if !(first - 1).is_multiple_of(4) || first + 4 > n || cell.level() >= MAX_LEVEL {
+                    return Err(format!(
+                        "trie node {node} has invalid child pointer {first}"
+                    ));
+                }
+                for k in 0..4u8 {
+                    stack.push((first + usize::from(k), cell.child(k)));
+                }
             }
         }
-        for (i, &a) in aggs.iter().enumerate() {
-            if a != NO_AGG && a as usize >= n_aggs {
-                return Err(format!("trie node {i} points past the aggregate storage"));
-            }
+        if let Some(node) = reached.iter().position(|&seen| !seen) {
+            return Err(format!("trie node {node} is unreachable"));
         }
-        let nodes = first_children
-            .into_iter()
-            .zip(aggs)
-            .map(|(first_child, agg)| TrieNode { first_child, agg })
-            .collect();
-        let mut trie = AggregateTrie {
-            root_cell,
-            nodes,
-            n_cols,
-            agg_counts,
-            agg_values,
-            hot_keys: Vec::new(),
-            hot_aggs: Vec::new(),
-        };
-        // Snapshot loads are publish points: hand queries the flat path.
-        trie.build_flat_index();
-        Ok(trie)
+        if cells.len() != n_aggs {
+            return Err(format!(
+                "trie stores {n_aggs} records but names {}",
+                cells.len()
+            ));
+        }
+        cells.sort_unstable();
+        let mut builder = TrieBuilder::new(root, c);
+        for &(raw, _) in &cells {
+            builder.insert(CellId::from_raw(raw));
+        }
+        Ok(builder.finish(|cell| {
+            let i = cells
+                .binary_search_by_key(&cell.raw(), |&(raw, _)| raw)
+                .ok()?;
+            let agg = cells.get(i)?.1;
+            let v = parts.agg_values.get(agg * 3 * c..(agg + 1) * 3 * c)?;
+            let (mins, rest) = v.split_at(c);
+            let (maxs, sums) = rest.split_at(c);
+            Some(CellRecord {
+                count: *parts.agg_counts.get(agg)?,
+                mins,
+                maxs,
+                sums,
+            })
+        }))
     }
 
-    /// Apply one new tuple to every cached ancestor of `leaf` (the §5
-    /// update path: "we can do this in a single depth-first traversal").
+    /// Apply one new tuple to every cached ancestor of `leaf`, at levels
+    /// from the root to the leaf (the §5 update path: "we can do this in
+    /// a single depth-first traversal").
     ///
     /// Paper-literal variant with no engine caller: adding tuples to
     /// cached sums reassociates them, so the engine re-copies records
     /// from the block instead (`AggregateTrie::refresh_records`).
     pub fn update_along_path(&mut self, leaf: CellId, values: &[f64]) {
-        assert_eq!(values.len(), self.n_cols);
+        let c = self.table.n_cols;
+        assert_eq!(values.len(), c);
         if !self.root_cell.contains(leaf) {
             return;
         }
-        let c = self.n_cols;
-        let mut cur = 0u32;
-        let mut level = self.root_cell.level();
-        loop {
-            let agg = self.nodes[cur as usize].agg;
-            if agg != NO_AGG {
-                let idx = agg as usize;
-                self.agg_counts[idx] += 1;
-                let base = idx * 3 * c;
-                // `col` addresses three interleaved thirds of one record.
-                #[allow(clippy::needless_range_loop)]
-                for col in 0..c {
-                    let v = values[col];
-                    if v < self.agg_values[base + col] {
-                        self.agg_values[base + col] = v;
-                    }
-                    if v > self.agg_values[base + c + col] {
-                        self.agg_values[base + c + col] = v;
-                    }
-                    self.agg_values[base + 2 * c + col] += v;
+        // The cached cells at or below each ancestor are one key range,
+        // nested inside the previous ancestor's: narrow it level by level
+        // and stop once it is empty.
+        let t = &mut self.table;
+        let (mut lo, mut hi) = (0, t.keys.len());
+        for level in self.root_cell.level()..=leaf.level() {
+            let cell = leaf.parent_at(level);
+            let (first, last) = (cell.range_min().raw(), cell.range_max().raw());
+            let range = &t.keys[lo..hi];
+            (lo, hi) = (
+                lo + range.partition_point(|&k| k < first),
+                lo + range.partition_point(|&k| k <= last),
+            );
+            if lo == hi {
+                break;
+            }
+            let Ok(j) = t.keys[lo..hi].binary_search(&cell.raw()) else {
+                continue;
+            };
+            let i = lo + j;
+            t.counts[i] += 1;
+            let at = i * c..(i + 1) * c;
+            for (((min, max), sum), &v) in t.mins[at.clone()]
+                .iter_mut()
+                .zip(&mut t.maxs[at.clone()])
+                .zip(&mut t.sums[at])
+                .zip(values)
+            {
+                if v < *min {
+                    *min = v;
                 }
+                if v > *max {
+                    *max = v;
+                }
+                *sum += v;
             }
-            if level >= leaf.level() {
-                break;
-            }
-            level += 1;
-            let first = self.nodes[cur as usize].first_child;
-            if first == NO_CHILD {
-                break;
-            }
-            cur = first + u32::from(leaf.child_position(level));
         }
     }
 }
@@ -613,8 +494,7 @@ mod tests {
         assert_eq!(t.num_cached(), 0);
         assert_eq!(t.num_nodes(), 1);
         assert_eq!(t.size_bytes(), 8);
-        assert!(t.node_for(root()).is_some());
-        assert!(t.agg_of(t.node_for(root()).unwrap()).is_none());
+        assert!(t.get(root()).is_none());
     }
 
     #[test]
@@ -623,18 +503,14 @@ mod tests {
         let cell = root().child(2).child(1);
         let (mins, maxs, sums) = sample_record();
         t.insert(cell, 7, &mins, &maxs, &sums);
-        let node = t.node_for(cell).expect("path exists");
-        let agg = t.agg_of(node).expect("agg cached");
+        let agg = t.get(cell).expect("agg cached");
         assert_eq!(agg.count, 7);
         assert_eq!(agg.min(0), 1.0);
         assert_eq!(agg.max(1), 5.0);
         assert_eq!(agg.sum(0), 30.0);
-        // Interior path node exists but carries no aggregate.
-        let mid = t.node_for(root().child(2)).unwrap();
-        assert!(t.agg_of(mid).is_none());
-        // Sibling exists structurally (block allocation) but is empty.
-        let sib = t.node_for(root().child(2).child(3)).unwrap();
-        assert!(t.agg_of(sib).is_none());
+        // The path and the sibling carry no aggregate.
+        assert!(t.get(root().child(2)).is_none());
+        assert!(t.get(root().child(2).child(3)).is_none());
     }
 
     #[test]
@@ -642,11 +518,10 @@ mod tests {
         let mut t = AggregateTrie::new(root(), 2);
         let (mins, maxs, sums) = sample_record();
         t.insert(root().child(0), 1, &mins, &maxs, &sums);
-        // No path below child(1).
-        assert!(t.node_for(root().child(1).child(0)).is_none());
+        assert!(t.get(root().child(1).child(0)).is_none());
         // Outside the root entirely.
         let outside = root().next();
-        assert!(t.node_for(outside).is_none());
+        assert!(t.get(outside).is_none());
         assert!(t.insertion_cost(outside).is_none());
     }
 
@@ -660,6 +535,7 @@ mod tests {
         assert_eq!(t.num_nodes(), 5); // sibling reuses the block
         t.insert(root().child(3).child(2), 1, &mins, &maxs, &sums);
         assert_eq!(t.num_nodes(), 9);
+        assert_eq!(t.to_parts().first_children.len(), 9);
     }
 
     #[test]
@@ -682,9 +558,11 @@ mod tests {
         let (mins, maxs, sums) = sample_record();
         let cell = root().child(2);
         t.insert(cell, 7, &mins, &maxs, &sums);
+        let size = t.size_bytes();
         t.insert(cell, 9, &[0.0, 0.0], &[1.0, 1.0], &[2.0, 2.0]);
         assert_eq!(t.num_cached(), 1);
-        let agg = t.agg_of(t.node_for(cell).unwrap()).unwrap();
+        assert_eq!(t.size_bytes(), size);
+        let agg = t.get(cell).unwrap();
         assert_eq!(agg.count, 9);
         assert_eq!(agg.sum(1), 2.0);
     }
@@ -697,57 +575,21 @@ mod tests {
         // A leaf below child(1): both cached records update.
         let leaf = root().child(1).child_begin(30);
         t.update_along_path(leaf, &[9.0]);
-        let r = t.agg_of(t.node_for(root()).unwrap()).unwrap();
+        let r = t.get(root()).unwrap();
         assert_eq!(r.count, 11);
         assert_eq!(r.max(0), 9.0);
         assert_eq!(r.sum(0), 29.0);
-        let c = t.agg_of(t.node_for(root().child(1)).unwrap()).unwrap();
+        let c = t.get(root().child(1)).unwrap();
         assert_eq!(c.count, 5);
         assert_eq!(c.sum(0), 17.0);
         // A leaf below child(0): only the root updates.
         let leaf0 = root().child(0).child_begin(30);
         t.update_along_path(leaf0, &[-3.0]);
-        let r = t.agg_of(t.node_for(root()).unwrap()).unwrap();
+        let r = t.get(root()).unwrap();
         assert_eq!(r.count, 12);
         assert_eq!(r.min(0), -3.0);
-        let c = t.agg_of(t.node_for(root().child(1)).unwrap()).unwrap();
+        let c = t.get(root().child(1)).unwrap();
         assert_eq!(c.count, 5, "sibling path untouched");
-    }
-
-    #[test]
-    fn flat_index_matches_walk_and_survives_updates() {
-        let mut t = AggregateTrie::new(root(), 1);
-        assert!(t.has_flat_index(), "a fresh trie is indexed");
-        t.insert(root().child(2).child(1), 7, &[1.0], &[2.0], &[3.0]);
-        assert!(!t.has_flat_index(), "insert clears the derived index");
-        t.insert(root().child(0), 1, &[0.0], &[0.0], &[0.0]);
-        t.build_flat_index();
-        assert!(t.has_flat_index());
-        // Every allocated node, plus misses inside and outside the root,
-        // agree between the two paths.
-        let probes = [
-            root(),
-            root().child(0),
-            root().child(1),
-            root().child(2),
-            root().child(2).child(1),
-            root().child(2).child(3),
-            root().child(1).child(0),          // no path
-            root().child(2).child(1).child(0), // below a leaf
-            root().next(),                     // outside the root
-            root().parent_at(2),               // above the root
-        ];
-        let mut cursor = t.flat_cursor();
-        for cell in probes {
-            let via_walk = t.node_for(cell).and_then(|n| t.agg_of(n)).map(|a| a.count);
-            let via_lane = cursor.lookup(cell).map(|a| a.count);
-            assert_eq!(via_lane, via_walk, "{cell:?}");
-        }
-        // In-place aggregate updates keep the lane current.
-        t.update_along_path(root().child(2).child(1).child_begin(30), &[9.0]);
-        assert!(t.has_flat_index());
-        let agg = t.flat_cursor().lookup(root().child(2).child(1)).unwrap();
-        assert_eq!(agg.count, 8);
     }
 
     #[test]
@@ -755,7 +597,6 @@ mod tests {
         let mut t = AggregateTrie::new(root(), 1);
         t.insert(root().child(1), 4, &[1.0], &[4.0], &[8.0]);
         t.insert(root().child(2), 2, &[0.5], &[0.5], &[1.0]);
-        t.build_flat_index();
         let (h0, s0) = (t.content_hash(), t.size_bytes());
         // Child 1 gains data, child 2 becomes empty.
         t.refresh_records(|cell| {
@@ -766,7 +607,6 @@ mod tests {
                 sums: &[17.0],
             })
         });
-        assert!(t.has_flat_index(), "no structural change");
         assert_eq!(t.size_bytes(), s0);
         assert_ne!(t.content_hash(), h0);
         let mut cursor = t.flat_cursor();
@@ -778,13 +618,35 @@ mod tests {
     }
 
     #[test]
-    fn flat_index_is_invisible_to_hash_and_size() {
+    fn parts_roundtrip_and_corrupt_layouts_are_errors() {
         let mut t = AggregateTrie::new(root(), 1);
-        t.insert(root().child(1), 3, &[1.0], &[1.0], &[1.0]);
-        let (h0, s0) = (t.content_hash(), t.size_bytes());
-        t.build_flat_index();
-        assert_eq!(t.content_hash(), h0);
-        assert_eq!(t.size_bytes(), s0);
+        t.insert(root().child(3).child(1), 4, &[1.0], &[4.0], &[8.0]);
+        t.insert(root().child(0), 2, &[0.5], &[0.5], &[1.0]);
+        let back = AggregateTrie::from_parts(&t.to_parts()).unwrap();
+        assert_eq!(back.content_hash(), t.content_hash());
+        assert_eq!(back.size_bytes(), t.size_bytes());
+
+        let mangle = |f: &dyn Fn(&mut TrieParts)| {
+            let mut parts = t.to_parts();
+            f(&mut parts);
+            AggregateTrie::from_parts(&parts)
+        };
+        // A quartet reached from two parents (a DAG / cycle).
+        assert!(mangle(&|p| p.first_children[2] = p.first_children[0]).is_err());
+        // A record named twice, or past the storage.
+        assert!(mangle(&|p| p.aggs[1] = p.aggs[4]).is_err());
+        assert!(mangle(&|p| p.aggs[2] = 7).is_err());
+        // A misaligned child offset, and an orphaned quartet.
+        assert!(mangle(&|p| p.first_children[0] = 2).is_err());
+        assert!(mangle(&|p| {
+            p.first_children.extend([NO_CHILD; 4]);
+            p.aggs.extend([NO_AGG; 4]);
+        })
+        .is_err());
+        assert!(mangle(&|p| {
+            p.agg_values.pop();
+        })
+        .is_err());
     }
 
     #[test]

@@ -5,8 +5,9 @@
 //!
 //! 1. Memoized coverings answer bit-identically to fresh coverings, and
 //!    rotated rings (same geometry, different start vertex) hit the memo.
-//! 2. The hot-lane cursor lookup equals the pointer walk on random
-//!    tries, for hits and misses alike.
+//! 2. The trie's computed Figure-7 accounting equals a literal quartet
+//!    allocator, and its cursor equals a reference map on random tries,
+//!    for hits and misses alike and in any probe order.
 //! 3. Batched execution is bit-identical to per-request execution — on
 //!    one thread and many — across an update epoch bump.
 
@@ -19,6 +20,7 @@ use geoblocks::api::{self, QueryReply, QueryRequest};
 use geoblocks::trie::AggregateTrie;
 use geoblocks::{build, GeoBlockEngine, UpdateBatch};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 const DOMAIN: f64 = 100.0;
 
@@ -67,6 +69,58 @@ fn rotate_ring(poly: &Polygon, k: usize) -> Polygon {
     let mut rotated = ring[k..].to_vec();
     rotated.extend_from_slice(&ring[..k]);
     Polygon::new(rotated)
+}
+
+/// Figure 7 literally: an array of `(first child, has record)` nodes,
+/// the four children of a node allocated together on first use — the
+/// reference the trie's computed accounting is checked against.
+struct Figure7 {
+    root: CellId,
+    first_child: Vec<usize>,
+    has_record: Vec<bool>,
+}
+
+impl Figure7 {
+    fn new(root: CellId) -> Self {
+        Figure7 {
+            root,
+            first_child: vec![0],
+            has_record: vec![false],
+        }
+    }
+
+    fn num_nodes(&self) -> usize {
+        self.first_child.len()
+    }
+
+    fn num_records(&self) -> usize {
+        self.has_record.iter().filter(|&&r| r).count()
+    }
+
+    /// Nodes inserting `cell` would allocate.
+    fn insertion_cost(&self, cell: CellId) -> usize {
+        let mut node = 0;
+        for level in (self.root.level() + 1)..=cell.level() {
+            if self.first_child[node] == 0 {
+                return 4 * usize::from(cell.level() - level + 1);
+            }
+            node = self.first_child[node] + usize::from(cell.child_position(level));
+        }
+        0
+    }
+
+    fn insert(&mut self, cell: CellId) {
+        let mut node = 0;
+        for level in (self.root.level() + 1)..=cell.level() {
+            if self.first_child[node] == 0 {
+                self.first_child[node] = self.first_child.len();
+                self.first_child.extend([0; 4]);
+                self.has_record.extend([false; 4]);
+            }
+            node = self.first_child[node] + usize::from(cell.child_position(level));
+        }
+        self.has_record[node] = true;
+    }
 }
 
 /// Walk `root` down `path` (child indices), clamped to `MAX_LEVEL`.
@@ -132,25 +186,40 @@ proptest! {
         );
     }
 
-    /// Hot-lane lookup ≡ pointer walk on random tries: every inserted
-    /// cell, its ancestors, structural siblings, cells below leaves, and
-    /// cells outside the root agree between the two paths.
+    /// The trie's computed Figure-7 accounting equals a literal quartet
+    /// allocator, and its lookups equal a reference map — for random
+    /// cells inserted in random orders (re-inserts included). `insert`
+    /// and `insertion_cost` price through the same builder a budgeted
+    /// rebuild uses, so this checks the accounting that sets the
+    /// Figure-18 budget. The same cells inserted in the reverse order
+    /// give the same digest.
     #[test]
-    fn flat_lookup_equals_pointer_walk(
+    fn trie_matches_figure7_allocator_and_reference_map(
         root_pos in 0u64..(1u64 << 30),
         paths in prop::collection::vec(prop::collection::vec(0u8..4, 0..10), 1..40),
         probes in prop::collection::vec(prop::collection::vec(0u8..4, 0..12), 0..60),
     ) {
         let root = CellId::from_leaf_pos(root_pos << 20).parent_at(4);
         let mut trie = AggregateTrie::new(root, 1);
+        let mut figure7 = Figure7::new(root);
+        let mut reference = BTreeMap::new();
         let mut inserted = Vec::new();
         for path in &paths {
             let cell = descend(root, path);
-            trie.insert(cell, 1 + path.len() as u64, &[0.0], &[1.0], &[2.0]);
+            let want_cost = figure7.insertion_cost(cell) * 8 + trie.record_bytes();
+            prop_assert_eq!(trie.insertion_cost(cell), Some(want_cost), "cost of {:?}", cell);
+            let count = 1 + path.len() as u64;
+            trie.insert(cell, count, &[0.0], &[1.0], &[2.0]);
+            figure7.insert(cell);
+            reference.insert(cell.raw(), count);
             inserted.push(cell);
+            prop_assert_eq!(trie.num_nodes(), figure7.num_nodes());
+            prop_assert_eq!(
+                trie.size_bytes(),
+                figure7.num_nodes() * 8 + figure7.num_records() * trie.record_bytes()
+            );
+            prop_assert_eq!(trie.num_cached(), reference.len());
         }
-        trie.build_flat_index();
-        prop_assert!(trie.has_flat_index());
 
         let mut all_probes: Vec<CellId> = inserted.clone();
         // Ancestors and children of inserted cells, random paths (hits
@@ -164,31 +233,36 @@ proptest! {
             }
         }
         for path in &probes {
-            all_probes.push(descend(root, path));
+            let cell = descend(root, path);
+            let want_cost = figure7.insertion_cost(cell) * 8 + trie.record_bytes();
+            prop_assert_eq!(trie.insertion_cost(cell), Some(want_cost), "cost of {:?}", cell);
+            all_probes.push(cell);
         }
         all_probes.push(root);
         all_probes.push(root.next());
+        prop_assert!(trie.insertion_cost(root.next()).is_none());
         if root.level() > 1 {
             all_probes.push(root.parent_at(root.level() - 1));
         }
 
         // The stateful cursor, fed the probes in this arbitrary — not
-        // sorted — order, must agree with walk + `agg_of`, hit or miss.
+        // sorted — order, must agree with the reference, hit or miss.
         let mut cursor = trie.flat_cursor();
         for cell in &all_probes {
-            let want = trie.node_for(*cell).and_then(|n| trie.agg_of(n)).map(|a| a.count);
-            prop_assert_eq!(
-                cursor.lookup(*cell).map(|a| a.count),
-                want,
-                "cursor/walk diverged at {:?}",
-                cell
-            );
+            let want = reference.get(&cell.raw()).copied();
+            prop_assert_eq!(cursor.lookup(*cell).map(|a| a.count), want, "cursor at {:?}", cell);
+            prop_assert_eq!(trie.get(*cell).map(|a| a.count), want, "get at {:?}", cell);
         }
-        // Every inserted cell is cached, and resolves through the lane.
-        let mut cursor = trie.flat_cursor();
-        for cell in &inserted {
-            prop_assert!(cursor.lookup(*cell).is_some(), "lane lost {:?}", cell);
+
+        // One canonical layout: the reverse insertion order ends in the
+        // same cells and records, hence the same digest and footprint.
+        let mut reversed = AggregateTrie::new(root, 1);
+        for cell in inserted.iter().rev() {
+            let count = reference[&cell.raw()];
+            reversed.insert(*cell, count, &[0.0], &[1.0], &[2.0]);
         }
+        prop_assert_eq!(reversed.content_hash(), trie.content_hash());
+        prop_assert_eq!(reversed.size_bytes(), trie.size_bytes());
     }
 
     /// Batched execution ≡ sequential execution, across an epoch bump:

@@ -46,6 +46,7 @@ impl Config {
                 "crates/core/src/snapshot.rs",
                 "crates/core/src/engine.rs",
                 "crates/core/src/trie.rs",
+                "crates/core/src/table.rs",
                 "crates/core/src/memo.rs",
             ]),
             float_blessed: s(&["crates/core/src/pyramid.rs", "crates/core/src/aggregate.rs"]),
